@@ -63,15 +63,28 @@ std::string rpc(int Fd, std::string &Carry, const std::string &Line) {
   return Reply;
 }
 
+/// "<Prefix><N>", a request id, built by appending (see encodeRequest).
+std::string idOf(const char *Prefix, size_t N) {
+  std::string S = Prefix;
+  S += std::to_string(N);
+  return S;
+}
+
 std::string encodeRequest(const std::string &Id, const std::string &Source,
                           const std::vector<std::string> &Flags) {
-  std::string R = "{\"id\":\"" + jsonEscape(Id) +
-                  "\",\"cmd\":\"analyze\",\"source\":\"" + jsonEscape(Source) +
-                  "\",\"flags\":[";
+  // Appends only: GCC 12 at -O3 raises a false -Werror=restrict on
+  // `"literal" + std::string` chains.
+  std::string R = "{\"id\":\"";
+  R += jsonEscape(Id);
+  R += "\",\"cmd\":\"analyze\",\"source\":\"";
+  R += jsonEscape(Source);
+  R += "\",\"flags\":[";
   for (size_t I = 0; I < Flags.size(); ++I) {
     if (I)
       R += ",";
-    R += "\"" + jsonEscape(Flags[I]) + "\"";
+    R += '"';
+    R += jsonEscape(Flags[I]);
+    R += '"';
   }
   R += "]}";
   return R;
@@ -206,7 +219,7 @@ int main() {
       O << Src;
     }
     Reply R = decodeReply(
-        rpc(Fd, Carry, encodeRequest("id" + std::to_string(I), Src, Flags)));
+        rpc(Fd, Carry, encodeRequest(idOf("id", I), Src, Flags)));
     ++Requests;
     int Exit = -2;
     std::string Out, Err;
@@ -225,7 +238,7 @@ int main() {
   for (size_t I = 0; I < Sources.size(); ++I) {
     auto T0 = std::chrono::steady_clock::now();
     Reply R = decodeReply(
-        rpc(Fd, Carry, encodeRequest("c" + std::to_string(I), Sources[I], Flags)));
+        rpc(Fd, Carry, encodeRequest(idOf("c", I), Sources[I], Flags)));
     auto T1 = std::chrono::steady_clock::now();
     ++Requests;
     if (!R.Ok) {
@@ -245,7 +258,7 @@ int main() {
   for (size_t I = 0; I < Sources.size(); ++I) {
     auto T0 = std::chrono::steady_clock::now();
     Reply R = decodeReply(
-        rpc(Fd, Carry, encodeRequest("w" + std::to_string(I), Sources[I], Flags)));
+        rpc(Fd, Carry, encodeRequest(idOf("w", I), Sources[I], Flags)));
     auto T1 = std::chrono::steady_clock::now();
     ++Requests;
     if (!R.Ok) {
@@ -279,11 +292,13 @@ int main() {
           const std::string &Src =
               Sources[(static_cast<size_t>(C) * 31 + static_cast<size_t>(I)) %
                       Sources.size()];
+          std::string Id = "m";
+          Id += std::to_string(C);
+          Id += '-';
+          Id += std::to_string(I);
           auto T0 = std::chrono::steady_clock::now();
-          Reply R = decodeReply(rpc(
-              CFd, ClientCarry,
-              encodeRequest("m" + std::to_string(C) + "-" + std::to_string(I),
-                            Src, Flags)));
+          Reply R =
+              decodeReply(rpc(CFd, ClientCarry, encodeRequest(Id, Src, Flags)));
           auto T1 = std::chrono::steady_clock::now();
           ++Requests;
           if (!R.Ok)

@@ -7,46 +7,51 @@
 
 #include "serve/HotStore.h"
 
+#include "support/Stats.h"
+
 using namespace lna;
 
-std::optional<InvocationResult> HotStore::get(const std::string &Key) {
+std::string lna::encodeReplyTail(const InvocationResult &R,
+                                 const char *Tier) {
+  std::string S = "\"exit\":";
+  S += std::to_string(R.Exit);
+  S += ",\"cache\":\"";
+  S += Tier;
+  S += "\",\"out\":\"";
+  S += jsonEscape(R.Out);
+  S += "\",\"err\":\"";
+  S += jsonEscape(R.Err);
+  S += "\"}";
+  return S;
+}
+
+HotStore::Reply HotStore::get(const std::string &Key) {
   std::lock_guard<std::mutex> Lock(Mutex);
   auto It = Entries.find(Key);
   if (It == Entries.end()) {
     ++Misses;
-    return std::nullopt;
+    return nullptr;
   }
   Lru.splice(Lru.begin(), Lru, It->second.LruIt);
   ++Hits;
-  return It->second.Result;
+  return It->second.Bytes;
 }
 
-void HotStore::put(const std::string &Key, InvocationResult R,
-                   std::unique_ptr<AnalysisSession> Session) {
+void HotStore::put(const std::string &Key, const InvocationResult &R,
+                   std::nullptr_t) {
+  // Encode outside the lock; readers only ever see finished bytes.
+  Reply Bytes = std::make_shared<const std::string>(encodeReplyTail(R, "hot"));
   std::lock_guard<std::mutex> Lock(Mutex);
   auto It = Entries.find(Key);
   if (It != Entries.end()) {
-    // Concurrent workers that both missed publish identical bytes;
-    // keep the newer session (it may carry one where the old had none).
-    It->second.Result = std::move(R);
-    if (Session)
-      It->second.Session = std::move(Session);
+    It->second.Bytes = std::move(Bytes);
     Lru.splice(Lru.begin(), Lru, It->second.LruIt);
     return;
   }
   Lru.push_front(Key);
-  Entry E;
-  E.Result = std::move(R);
-  E.Session = std::move(Session);
-  E.LruIt = Lru.begin();
-  Entries.emplace(Key, std::move(E));
-  evictIfNeeded();
-}
-
-void HotStore::evictIfNeeded() {
+  Entries.emplace(Key, Entry{std::move(Bytes), Lru.begin()});
   while (Entries.size() > Capacity) {
-    const std::string &Victim = Lru.back();
-    Entries.erase(Victim);
+    Entries.erase(Lru.back());
     Lru.pop_back();
     ++Evictions;
   }
@@ -57,11 +62,17 @@ size_t HotStore::size() const {
   return Entries.size();
 }
 
-size_t HotStore::retainedSessions() const {
+uint64_t HotStore::hits() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  size_t N = 0;
-  for (const auto &KV : Entries)
-    if (KV.second.Session)
-      ++N;
-  return N;
+  return Hits;
+}
+
+uint64_t HotStore::misses() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Misses;
+}
+
+uint64_t HotStore::evictions() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Evictions;
 }

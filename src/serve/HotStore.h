@@ -8,9 +8,10 @@
 /// \file
 /// The hot tier of the resident daemon's result cache: an LRU map from
 /// invocation keys ("a-<digest>", serve/Invocation.h) to the finished
-/// InvocationResult plus -- for results produced live in this process --
-/// the retained AnalysisSession, i.e. the parsed AST arena and the
-/// solved constraint system.
+/// invocation in reply form. The exit status and the JSON-escaped
+/// stdout/stderr are encoded once, when the entry is published, so a
+/// hot hit costs one lookup plus one concatenation onto the request's
+/// "id" echo.
 ///
 /// Incremental re-analysis falls out of content addressing: the key
 /// digests the source bytes, so an unchanged module is answered from
@@ -19,10 +20,9 @@
 /// while every other module's entry stays hot. There is no invalidation
 /// protocol to get wrong; superseded entries age out through the LRU.
 ///
-/// Thread safety: one mutex around the map. Entries are returned by
-/// value (the reply bytes), never by reference, so eviction can free a
-/// retained session while another worker is still writing a reply it
-/// copied earlier.
+/// Thread safety: one mutex around the map and every counter. Entries
+/// are immutable and shared: get() hands out a reference-counted
+/// pointer, so eviction never frees bytes a writer is still copying.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,45 +31,53 @@
 
 #include "serve/Invocation.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <optional>
+#include <string>
 
 namespace lna {
+
+/// The reply fields that follow `"ok":true,` for a finished invocation
+/// answered from \p Tier:
+///   "exit":N,"cache":"<Tier>","out":"<escaped>","err":"<escaped>"}
+/// (closing brace included). Every analyze/infer/explain reply is
+/// "{" + id echo + "\"ok\":true," + this.
+std::string encodeReplyTail(const InvocationResult &R, const char *Tier);
 
 /// Bounded LRU of finished invocations, keyed by invocation key.
 class HotStore {
 public:
+  /// One published entry: encodeReplyTail(Result, "hot").
+  using Reply = std::shared_ptr<const std::string>;
+
   explicit HotStore(size_t Capacity) : Capacity(Capacity ? Capacity : 1) {}
 
-  /// The recorded result for \p Key, refreshing its recency. nullopt on
-  /// miss.
-  std::optional<InvocationResult> get(const std::string &Key);
+  /// The encoded reply tail recorded for \p Key, refreshing its
+  /// recency; null on miss.
+  Reply get(const std::string &Key);
 
   /// Publishes \p R under \p Key (last writer wins; concurrent workers
-  /// that raced on the same miss publish identical bytes). \p Session
-  /// may be null -- entries replayed from the cold tier have reply
-  /// bytes but no live session to retain.
-  void put(const std::string &Key, InvocationResult R,
-           std::unique_ptr<AnalysisSession> Session);
+  /// that raced on the same miss publish identical bytes). The third
+  /// parameter is vestigial -- entries no longer retain a session -- and
+  /// only keeps perfbench/Serve.cpp's `put(Key, Result, nullptr)`
+  /// compiling until that file next changes.
+  void put(const std::string &Key, const InvocationResult &R,
+           std::nullptr_t = nullptr);
 
   size_t size() const;
-  /// Entries currently holding a retained live session.
-  size_t retainedSessions() const;
-  uint64_t hits() const { return Hits; }
-  uint64_t misses() const { return Misses; }
-  uint64_t evictions() const { return Evictions; }
+  uint64_t hits() const;
+  uint64_t misses() const;
+  uint64_t evictions() const;
 
 private:
   struct Entry {
-    InvocationResult Result;
-    std::unique_ptr<AnalysisSession> Session;
+    Reply Bytes;
     std::list<std::string>::iterator LruIt;
   };
-
-  void evictIfNeeded();
 
   size_t Capacity;
   mutable std::mutex Mutex;

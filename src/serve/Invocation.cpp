@@ -430,8 +430,7 @@ void printExplanation(AnalysisSession &Session, const PipelineResult &R,
 
 InvocationResult lna::runInvocation(const InvocationOptions &Cli,
                                     std::string_view Source,
-                                    ResultCache *SessionCache,
-                                    std::unique_ptr<AnalysisSession> *Retain) {
+                                    ResultCache *SessionCache) {
   InvocationResult R;
   PipelineOptions Opts = invocationPipelineOptions(Cli);
   Opts.Cache = SessionCache;
@@ -452,19 +451,19 @@ InvocationResult lna::runInvocation(const InvocationOptions &Cli,
   if (!Cli.MetricsOutFile.empty())
     MetricsInstall.emplace(Metrics);
 
-  auto Session = std::make_unique<AnalysisSession>(Opts);
-  bool Analyzed = Session->run(Source);
-  if (Session->diags().hasErrors()) {
-    R.Err += Session->diags().render();
-    appendf(R.Err, "%u error(s)\n", Session->diags().errorCount());
+  AnalysisSession Session(Opts);
+  bool Analyzed = Session.run(Source);
+  if (Session.diags().hasErrors()) {
+    R.Err += Session.diags().render();
+    appendf(R.Err, "%u error(s)\n", Session.diags().errorCount());
   }
   if (!Analyzed) {
-    emitStats(Cli, Session->stats(), R);
+    emitStats(Cli, Session.stats(), R);
     emitObs(Cli, Trace ? &*Trace : nullptr, Metrics, R);
-    R.Exit = budgetFailureExit(*Session, 1, R.Err);
+    R.Exit = budgetFailureExit(Session, 1, R.Err);
     return R;
   }
-  PipelineResult &Res = Session->result();
+  PipelineResult &Res = Session.result();
 
   int Exit = 0;
 
@@ -476,7 +475,7 @@ InvocationResult lna::runInvocation(const InvocationOptions &Cli,
       for (const RestrictViolation &V : Res.Checks.Violations) {
         appendf(R.Out, "violation: %s\n", V.Message.c_str());
         if (Cli.Explain)
-          printExplanation(*Session, Res, V, R.Out);
+          printExplanation(Session, Res, V, R.Out);
       }
       Exit = 2;
     }
@@ -490,7 +489,7 @@ InvocationResult lna::runInvocation(const InvocationOptions &Cli,
       for (const RestrictViolation &V : Res.Inference.Violations) {
         appendf(R.Out, "violation: %s\n", V.Message.c_str());
         if (Cli.Explain)
-          printExplanation(*Session, Res, V, R.Out);
+          printExplanation(Session, Res, V, R.Out);
       }
       Exit = 2;
     }
@@ -499,13 +498,13 @@ InvocationResult lna::runInvocation(const InvocationOptions &Cli,
   if (Cli.RunLocks) {
     LockAnalysisOptions LockOpts;
     LockOpts.AllStrong = Cli.AllStrong;
-    LockAnalysisResult Locks = analyzeLocks(*Session, LockOpts);
+    LockAnalysisResult Locks = analyzeLocks(Session, LockOpts);
     // The lock phase runs through runPhase, so budget exhaustion inside
     // it surfaces as a session failure rather than an exception.
-    if (Session->failure()) {
-      emitStats(Cli, Session->stats(), R);
+    if (Session.failure()) {
+      emitStats(Cli, Session.stats(), R);
       emitObs(Cli, Trace ? &*Trace : nullptr, Metrics, R);
-      R.Exit = budgetFailureExit(*Session, 1, R.Err);
+      R.Exit = budgetFailureExit(Session, 1, R.Err);
       return R;
     }
     appendf(R.Out, "lock analysis%s: %u unverifiable site(s)\n",
@@ -524,7 +523,7 @@ InvocationResult lna::runInvocation(const InvocationOptions &Cli,
     for (ExprId Id : Res.OptionalConfines)
       if (!Res.Inference.confineSucceeded(Id))
         Overlay.DropConfines.insert(Id);
-    R.Out += AstPrinter(Session->context(), &Overlay).print(Res.Analyzed);
+    R.Out += AstPrinter(Session.context(), &Overlay).print(Res.Analyzed);
   }
 
   if (Cli.RunProgramToo) {
@@ -535,11 +534,11 @@ InvocationResult lna::runInvocation(const InvocationOptions &Cli,
     // here.
     RunResult Run;
     try {
-      BudgetScope Scope(Session->budget());
-      Run = runProgram(Session->context(), Res.Analyzed, IO);
+      BudgetScope Scope(Session.budget());
+      Run = runProgram(Session.context(), Res.Analyzed, IO);
     } catch (const AnalysisAbort &A) {
       appendf(R.Err, "lna-analyze: error: evaluation aborted: %s\n", A.what());
-      emitStats(Cli, Session->stats(), R);
+      emitStats(Cli, Session.stats(), R);
       emitObs(Cli, Trace ? &*Trace : nullptr, Metrics, R);
       R.Exit = A.kind() == FailureKind::InternalError ? ExitInternalError
                                                       : ExitBudgetExhausted;
@@ -569,14 +568,12 @@ InvocationResult lna::runInvocation(const InvocationOptions &Cli,
     R.Out += '\n';
   }
 
-  if (!emitStats(Cli, Session->stats(), R) && Exit == 0)
+  if (!emitStats(Cli, Session.stats(), R) && Exit == 0)
     Exit = 1;
   if (!emitObs(Cli, Trace ? &*Trace : nullptr, Metrics, R) && Exit == 0)
     Exit = 1;
 
   R.Exit = Exit;
-  if (Retain)
-    *Retain = std::move(Session);
   return R;
 }
 

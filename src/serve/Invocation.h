@@ -42,7 +42,6 @@
 #include "cache/CacheStore.h"
 #include "core/Session.h"
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -138,16 +137,10 @@ std::string encodeInvocation(const InvocationResult &R);
 bool decodeInvocation(const std::string &Entry, InvocationResult &R);
 
 /// Runs one invocation over \p Source. \p SessionCache optionally backs
-/// the session's negative cache (parse/type-error memoization). When
-/// \p Retain is non-null and the analysis ran to completion, the live
-/// session -- the parsed AST arena and the solved constraint system --
-/// is moved out instead of destroyed, so a resident process can keep it
-/// warm.
+/// the session's negative cache (parse/type-error memoization).
 InvocationResult runInvocation(const InvocationOptions &Opts,
                                std::string_view Source,
-                               ResultCache *SessionCache,
-                               std::unique_ptr<AnalysisSession> *Retain =
-                                   nullptr);
+                               ResultCache *SessionCache);
 
 /// The full cached flow over an open store: bypass check (note + live
 /// run), warm "a-" replay, or run-and-record. Exactly what

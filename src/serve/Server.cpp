@@ -11,13 +11,14 @@
 #include "obs/Trace.h"
 #include "serve/Json.h"
 #include "support/Stats.h"
-#include "support/Subprocess.h"
 #include "support/Version.h"
 
+#include <cerrno>
 #include <cmath>
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace lna;
@@ -25,6 +26,57 @@ using namespace lna;
 Server::Conn::~Conn() {
   if (Fd >= 0)
     ::close(Fd);
+}
+
+size_t Server::Conn::send(std::string Reply) {
+  Reply += '\n';
+  std::lock_guard<std::mutex> Lock(WriteMutex);
+  if (Dead.load(std::memory_order_relaxed))
+    return 0;
+  if (OutHead == Out.size())
+    Out = std::move(Reply);
+  else
+    Out += Reply;
+  return flushLocked();
+}
+
+size_t Server::Conn::flush() {
+  std::lock_guard<std::mutex> Lock(WriteMutex);
+  return flushLocked();
+}
+
+size_t Server::Conn::queued() {
+  std::lock_guard<std::mutex> Lock(WriteMutex);
+  return Out.size() - OutHead;
+}
+
+size_t Server::Conn::flushLocked() {
+  while (OutHead < Out.size()) {
+    ssize_t N = ::send(Fd, Out.data() + OutHead, Out.size() - OutHead,
+                       MSG_NOSIGNAL);
+    if (N > 0) {
+      OutHead += static_cast<size_t>(N);
+      continue;
+    }
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0 && wouldBlock(errno))
+      break; // the rest waits for POLLOUT
+    // The peer is gone (EPIPE, ECONNRESET, ...): nothing queued for it
+    // can ever be delivered.
+    Dead.store(true, std::memory_order_relaxed);
+    Out.clear();
+    OutHead = 0;
+    return 0;
+  }
+  if (OutHead == Out.size()) {
+    Out.clear();
+    OutHead = 0;
+  } else if (OutHead > (size_t(1) << 16) && OutHead * 2 > Out.size()) {
+    Out.erase(0, OutHead);
+    OutHead = 0;
+  }
+  return Out.size() - OutHead;
 }
 
 Server::Server(ServerOptions O) : Opts(std::move(O)), Hot(Opts.HotCapacity) {}
@@ -67,32 +119,47 @@ bool Server::start(std::string &Error) {
       Threads = 2;
   }
   Pool = std::make_unique<ThreadPool>(Threads);
+  NumThreads = Pool->numThreads();
   StartTime = std::chrono::steady_clock::now();
   Journal.event("serve-start")
       .str("socket", Opts.SocketPath)
-      .num("threads", Pool->numThreads())
+      .num("threads", NumThreads)
       .num("hot-capacity", Opts.HotCapacity)
       .str("cache-dir", Opts.CacheDir);
   return true;
 }
 
-void Server::requestStop() {
-  StopRequested.store(true, std::memory_order_relaxed);
-  // Async-signal-safe wakeup; a full pipe already guarantees a wakeup.
+void Server::wake() {
+  // Async-signal-safe; a full pipe already guarantees a wakeup.
   ssize_t Ignored = ::write(WakePipe[1], "x", 1);
   (void)Ignored;
+}
+
+void Server::requestStop() {
+  StopRequested.store(true, std::memory_order_relaxed);
+  wake();
 }
 
 int Server::serveForever() {
   std::vector<pollfd> Fds;
   std::vector<std::shared_ptr<Conn>> Polled;
   while (!StopRequested.load(std::memory_order_relaxed)) {
+    retireConns();
     Fds.clear();
     Polled.clear();
     Fds.push_back({WakePipe[0], POLLIN, 0});
     Fds.push_back({Listener.fd(), POLLIN, 0});
     for (auto &KV : Conns) {
-      Fds.push_back({KV.first, POLLIN, 0});
+      Conn &C = *KV.second;
+      size_t Queued = C.queued();
+      short Events = Queued ? POLLOUT : 0;
+      // Backpressure: a client that does not read its replies is not
+      // read from either.
+      if (!C.ReadClosed.load() && Queued <= Opts.MaxRequestBytes)
+        Events |= POLLIN;
+      if (!Events)
+        continue; // read-closed, waiting on pooled replies
+      Fds.push_back({KV.first, Events, 0});
       Polled.push_back(KV.second);
     }
     if (pollRetry(Fds.data(), Fds.size(), -1) < 0)
@@ -115,49 +182,114 @@ int Server::serveForever() {
         Journal.event("conn-open").num("conn", NewConn->Id);
       }
     }
-    for (size_t I = 0; I < Polled.size(); ++I)
-      if (Fds[I + 2].revents)
+    for (size_t I = 0; I < Polled.size(); ++I) {
+      const pollfd &P = Fds[I + 2];
+      if (!P.revents)
+        continue;
+      if ((P.events & POLLOUT) && (P.revents & (POLLOUT | POLLERR | POLLHUP)))
+        Polled[I]->flush();
+      if ((P.events & POLLIN) && (P.revents & (POLLIN | POLLERR | POLLHUP)))
         handleConnReadable(Polled[I]);
+    }
   }
 
   // Shutdown: stop accepting, let queued requests finish (the pool
-  // drains its queue on destruction), then drop the connections.
+  // drains its queue on destruction), deliver what they queued, then
+  // drop the connections.
   Listener.close();
   Pool.reset();
+  drainQueues();
   uint64_t Served = Requests.load(std::memory_order_relaxed);
   Journal.event("serve-stop").num("requests", Served);
   Conns.clear();
   return 0;
 }
 
+void Server::retireConns() {
+  for (auto It = Conns.begin(); It != Conns.end();) {
+    Conn &C = *It->second;
+    // handleConnReadable stores ReadClosed before this loads Pending,
+    // and a worker decrements Pending before it loads ReadClosed; both
+    // sequentially consistent, so either the connection retires here
+    // or that worker wakes the loop to retire it.
+    bool Done = C.Dead.load() || (C.ReadClosed.load() &&
+                                  C.Pending.load() == 0 && C.queued() == 0);
+    if (!Done) {
+      ++It;
+      continue;
+    }
+    // A Dead connection may still have pooled requests holding
+    // references; the fd closes when the last of them drops, and their
+    // writes are no-ops.
+    Journal.event("conn-close").num("conn", C.Id);
+    It = Conns.erase(It);
+  }
+}
+
+void Server::drainQueues() {
+  // No new requests are read, so the queues only shrink: keep flushing
+  // while clients keep reading, and give up once none has taken a byte
+  // for a second.
+  std::vector<pollfd> Fds;
+  std::vector<Conn *> Polled;
+  for (;;) {
+    Fds.clear();
+    Polled.clear();
+    for (auto &KV : Conns)
+      if (KV.second->queued()) {
+        Fds.push_back({KV.first, POLLOUT, 0});
+        Polled.push_back(KV.second.get());
+      }
+    if (Polled.empty() || pollRetry(Fds.data(), Fds.size(), 1000) <= 0)
+      return;
+    for (size_t I = 0; I < Polled.size(); ++I)
+      if (Fds[I].revents)
+        Polled[I]->flush();
+  }
+}
+
 void Server::handleConnReadable(const std::shared_ptr<Conn> &C) {
   bool Open = C->In.fill(C->Fd);
   std::string Line;
   while (C->In.popLine(Line)) {
-    auto Self = C;
-    std::string Captured = std::move(Line);
-    Pool->submit([this, Self, Captured]() mutable {
-      handleLine(std::move(Self), std::move(Captured));
-    });
-    Line.clear();
+    auto T0 = std::chrono::steady_clock::now();
+    std::optional<Job> Work;
+    bool Shutdown = false;
+    std::string Reply;
+    try {
+      Reply = routeLine(Line, Work, Shutdown);
+    } catch (...) {
+      // A request must never take the poll loop down.
+      ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
+      Reply = "{\"ok\":false,\"error\":\"internal error processing request\"}";
+      Work.reset();
+    }
+    if (Work) {
+      C->Pending.fetch_add(1);
+      Pool->submit([this, C, J = std::move(*Work)] { handleJob(C, J); });
+      continue;
+    }
+    C->send(std::move(Reply));
+    uint64_t Micros = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - T0)
+            .count());
+    Journal.event("request").num("conn", C->Id).num("micros", Micros).flag(
+        "shutdown", Shutdown);
+    if (Shutdown)
+      requestStop();
   }
   if (Open && C->In.pending() > Opts.MaxRequestBytes) {
     ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
-    sendReply(C, "{\"ok\":false,\"error\":\"request line exceeds " +
-                     std::to_string(Opts.MaxRequestBytes) + " bytes\"}");
+    C->send("{\"ok\":false,\"error\":\"request line exceeds " +
+            std::to_string(Opts.MaxRequestBytes) + " bytes\"}");
     Open = false;
   }
-  if (!Open) {
-    C->Dead.store(true, std::memory_order_relaxed);
-    Journal.event("conn-close").num("conn", C->Id);
-    Conns.erase(C->Fd);
-    // Queued replies for this conn still hold shared_ptr references;
-    // the fd closes when the last of them drops. Their writes fail
-    // harmlessly (Dead short-circuits; SIGPIPE is ignored).
-  }
+  if (!Open)
+    C->ReadClosed.store(true); // retired once its replies are out
 }
 
-void Server::handleLine(std::shared_ptr<Conn> C, std::string Line) {
+void Server::handleJob(const std::shared_ptr<Conn> &C, const Job &J) {
   // Request-boundary isolation scrub: a pooled thread must enter every
   // request with clean observability slots, whatever earlier work on
   // this thread did. runInvocation's own scopes nest inside; we restore
@@ -166,10 +298,9 @@ void Server::handleLine(std::shared_ptr<Conn> C, std::string Line) {
   TraceSink *PrevSink = exchangeThreadTraceSink(nullptr);
   MetricsRegistry *PrevMetrics = exchangeThreadMetrics(nullptr);
   auto T0 = std::chrono::steady_clock::now();
-  bool Shutdown = false;
   std::string Reply;
   try {
-    Reply = processLine(Line, Shutdown);
+    Reply = executeJob(J);
   } catch (...) {
     // A request must never take a worker (or, via ThreadPool::wait's
     // rethrow, the daemon) down.
@@ -182,22 +313,14 @@ void Server::handleLine(std::shared_ptr<Conn> C, std::string Line) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - T0)
           .count());
-  sendReply(C, Reply);
+  bool Queued = C->send(std::move(Reply)) != 0;
   Journal.event("request").num("conn", C->Id).num("micros", Micros).flag(
-      "shutdown", Shutdown);
-  if (Shutdown)
-    requestStop();
-}
-
-void Server::sendReply(const std::shared_ptr<Conn> &C,
-                       std::string_view Reply) {
-  std::lock_guard<std::mutex> Lock(C->WriteMutex);
-  if (C->Dead.load(std::memory_order_relaxed))
-    return;
-  std::string Framed(Reply);
-  Framed += '\n';
-  if (!writeAll(C->Fd, Framed))
-    C->Dead.store(true, std::memory_order_relaxed);
+      "shutdown", false);
+  // The poll loop must learn about bytes only POLLOUT can flush, and
+  // about a read-closed connection whose last reply just went out.
+  bool Last = C->Pending.fetch_sub(1) == 1;
+  if (Queued || (Last && C->ReadClosed.load()))
+    wake();
 }
 
 namespace {
@@ -223,9 +346,19 @@ std::string errorReply(const std::string &IdField, const std::string &Msg) {
   return "{" + IdField + "\"ok\":false,\"error\":\"" + jsonEscape(Msg) + "\"}";
 }
 
+std::string resultReply(const std::string &IdField, const std::string &Tail) {
+  std::string Reply = "{";
+  Reply.reserve(IdField.size() + Tail.size() + 16);
+  Reply += IdField;
+  Reply += "\"ok\":true,";
+  Reply += Tail;
+  return Reply;
+}
+
 } // namespace
 
-std::string Server::processLine(const std::string &Line, bool &Shutdown) {
+std::string Server::routeLine(const std::string &Line,
+                              std::optional<Job> &Work, bool &Shutdown) {
   Requests.fetch_add(1, std::memory_order_relaxed);
   std::optional<JsonValue> Req = JsonValue::parse(Line);
   if (!Req || Req->kind() != JsonValue::Kind::Object) {
@@ -246,16 +379,17 @@ std::string Server::processLine(const std::string &Line, bool &Shutdown) {
     return "{" + IdField + "\"ok\":true,\"shutdown\":true}";
   }
   if (*CmdStr == "analyze" || *CmdStr == "infer" || *CmdStr == "explain")
-    return runAnalyzeCmd(IdField, *CmdStr, *Req);
+    return routeAnalyzeCmd(IdField, *CmdStr, *Req, Work);
   ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
   return errorReply(IdField, "unknown cmd '" + *CmdStr +
                                  "' (expected analyze/infer/explain/stats/"
                                  "shutdown)");
 }
 
-std::string Server::runAnalyzeCmd(const std::string &IdField,
-                                  const std::string &Cmd,
-                                  const JsonValue &Req) {
+std::string Server::routeAnalyzeCmd(const std::string &IdField,
+                                    const std::string &Cmd,
+                                    const JsonValue &Req,
+                                    std::optional<Job> &Work) {
   const JsonValue *Src = Req.field("source");
   const std::string *Source = Src ? Src->asString() : nullptr;
   if (!Source) {
@@ -297,54 +431,52 @@ std::string Server::runAnalyzeCmd(const std::string &IdField,
   if (!O.Limits.any() && Opts.DefaultLimits.any())
     O.Limits = Opts.DefaultLimits;
 
-  const char *Tier = "miss";
-  std::optional<InvocationResult> R;
-  if (bypassesResultCache(O)) {
-    // Same rule as the CLI: live observability output is never cached
-    // (hot or cold) -- replaying would fabricate timings.
-    R = runInvocation(O, *Source, nullptr);
-    Tier = "bypass";
-    BypassRuns.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    std::string Key = invocationKey(O, *Source);
-    if ((R = Hot.get(Key))) {
-      Tier = "hot";
+  // Same rule as the CLI: live observability output is never cached
+  // (hot or cold) -- replaying would fabricate timings. Such runs keep
+  // an empty key.
+  std::string Key;
+  if (!bypassesResultCache(O)) {
+    Key = invocationKey(O, *Source);
+    if (HotStore::Reply Hit = Hot.get(Key)) {
       HotHits.fetch_add(1, std::memory_order_relaxed);
-    } else if (Cold) {
-      if (std::optional<std::string> Entry = Cold->load(Key)) {
-        InvocationResult Decoded;
-        if (decodeInvocation(*Entry, Decoded)) {
-          Hot.put(Key, Decoded, nullptr);
-          R = std::move(Decoded);
-          Tier = "cold";
-          ColdHits.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          Cold->noteSemanticStale();
-        }
-      }
-    }
-    if (!R) {
-      std::unique_ptr<AnalysisSession> Session;
-      R = runInvocation(O, *Source, Cold.get(), &Session);
-      MissRuns.fetch_add(1, std::memory_order_relaxed);
-      if (invocationCacheable(R->Exit)) {
-        if (Cold)
-          Cold->store(Key, encodeInvocation(*R));
-        Hot.put(Key, *R, std::move(Session));
-      }
+      return resultReply(IdField, *Hit);
     }
   }
+  Work.emplace(Job{IdField, std::move(O), *Source, std::move(Key)});
+  return "";
+}
 
-  std::string Reply = "{" + IdField + "\"ok\":true,\"exit\":";
-  Reply += std::to_string(R->Exit);
-  Reply += ",\"cache\":\"";
-  Reply += Tier;
-  Reply += "\",\"out\":\"";
-  Reply += jsonEscape(R->Out);
-  Reply += "\",\"err\":\"";
-  Reply += jsonEscape(R->Err);
-  Reply += "\"}";
-  return Reply;
+std::string Server::executeJob(const Job &J) {
+  if (J.Key.empty()) {
+    InvocationResult R = runInvocation(J.Opts, J.Source, nullptr);
+    BypassRuns.fetch_add(1, std::memory_order_relaxed);
+    return resultReply(J.IdField, encodeReplyTail(R, "bypass"));
+  }
+  // An identical miss queued ahead of this one may have published the
+  // key since the poll thread probed.
+  if (HotStore::Reply Hit = Hot.get(J.Key)) {
+    HotHits.fetch_add(1, std::memory_order_relaxed);
+    return resultReply(J.IdField, *Hit);
+  }
+  if (Cold) {
+    if (std::optional<std::string> Entry = Cold->load(J.Key)) {
+      InvocationResult Decoded;
+      if (decodeInvocation(*Entry, Decoded)) {
+        Hot.put(J.Key, Decoded);
+        ColdHits.fetch_add(1, std::memory_order_relaxed);
+        return resultReply(J.IdField, encodeReplyTail(Decoded, "cold"));
+      }
+      Cold->noteSemanticStale();
+    }
+  }
+  InvocationResult R = runInvocation(J.Opts, J.Source, Cold.get());
+  MissRuns.fetch_add(1, std::memory_order_relaxed);
+  if (invocationCacheable(R.Exit)) {
+    if (Cold)
+      Cold->store(J.Key, encodeInvocation(R));
+    Hot.put(J.Key, R);
+  }
+  return resultReply(J.IdField, encodeReplyTail(R, "miss"));
 }
 
 std::string Server::statsReply(const std::string &IdField) const {
@@ -362,9 +494,8 @@ std::string Server::statsReply(const std::string &IdField) const {
   S += ",\"bypass_runs\":" + std::to_string(BypassRuns.load());
   S += ",\"protocol_errors\":" + std::to_string(ProtocolErrors.load());
   S += ",\"hot_entries\":" + std::to_string(Hot.size());
-  S += ",\"hot_sessions\":" + std::to_string(Hot.retainedSessions());
   S += ",\"hot_evictions\":" + std::to_string(Hot.evictions());
-  S += ",\"threads\":" + std::to_string(Pool ? Pool->numThreads() : 0);
+  S += ",\"threads\":" + std::to_string(NumThreads);
   S += ",\"uptime_us\":" + std::to_string(UptimeUs);
   if (Cold) {
     S += ",\"cold\":{\"hits\":" + std::to_string(Cold->hits());

@@ -38,17 +38,50 @@
 /// or "bypass" (live observability flags; never cached, exactly like
 /// the CLI).
 ///
-/// Concurrency: the main thread owns poll(2) over the listener, a
-/// self-pipe (signals/shutdown), and every connection; complete request
-/// lines are dispatched to a support/ThreadPool. Each request runs
-/// under its own ResourceBudget/TraceSink/MetricsRegistry via the
-/// thread-local scopes inside runInvocation(), and the worker scrubs
-/// the thread's obs slots around the request (exchangeThreadTraceSink /
-/// exchangeThreadMetrics), so pooled threads give every request
-/// fresh-process isolation. Connection lifetime is shared_ptr-managed:
-/// the poll loop drops its reference when the peer hangs up, but the fd
-/// closes only when the last queued worker reply drops its reference --
-/// a late reply writes into an EPIPE, never into a recycled fd.
+/// Concurrency. The main thread owns poll(2) over the listener, a
+/// self-pipe (signals, shutdown, worker wake-ups) and every connection.
+/// Which thread answers a request:
+///
+///  - The poll thread decodes every complete line exactly once: JSON
+///    parse, the flag parser, invocationKey(), and a HotStore probe.
+///    It answers on the spot whatever needs no analysis and no file
+///    I/O -- hot-tier hits, protocol and flag errors, "stats" and
+///    "shutdown" -- so a hot hit is client -> poll thread -> client,
+///    with no pool hand-off.
+///  - Everything else goes to a support/ThreadPool worker together
+///    with the decoded request (options, key, id echo), so nothing is
+///    parsed or hashed twice: cold-tier hits (file I/O), misses (live
+///    analysis, then publication to both tiers) and "bypass" runs. A
+///    worker re-probes the hot tier first, since an identical miss
+///    queued ahead of it may have published the key meanwhile. Each
+///    pooled request runs under its own ResourceBudget/TraceSink/
+///    MetricsRegistry via the thread-local scopes inside
+///    runInvocation(), and the worker scrubs the thread's obs slots
+///    around it (exchangeThreadTraceSink / exchangeThreadMetrics), so
+///    pooled threads give every request fresh-process isolation.
+///
+/// Who writes: any thread that finishes a reply, poll thread or
+/// worker. Each connection has an outbound byte queue under its
+/// WriteMutex; a writer appends its framed reply and writes whatever
+/// the non-blocking socket accepts. On EAGAIN the rest stays queued; a
+/// worker that leaves bytes queued wakes the poll loop through the
+/// self-pipe, and the loop polls that fd for POLLOUT and flushes it.
+/// Whole replies are appended under the lock, so replies never
+/// interleave on the wire. Only a hard write error (EPIPE, ECONNRESET)
+/// marks a connection Dead and drops its queue.
+///
+/// Backpressure: while a connection's queued bytes exceed
+/// MaxRequestBytes the loop stops polling it for POLLIN, so a client
+/// that pipelines without reading is throttled by its own socket
+/// buffers instead of growing the daemon's memory.
+///
+/// Lifetime: a connection whose peer sent EOF stays open until its
+/// pooled requests have replied and its queue has drained (a
+/// half-closed client still gets every reply). Connections are
+/// shared_ptr-managed: the poll loop drops its reference when it
+/// retires one, but the fd closes only when the last queued worker
+/// drops its reference -- a late reply writes into a Dead connection
+/// (a no-op), never into a recycled fd.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,6 +100,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 namespace lna {
@@ -118,27 +152,70 @@ private:
   struct Conn {
     int Fd = -1;
     uint64_t Id = 0;
-    LineBuffer In;
+    LineBuffer In; ///< poll thread only
     std::mutex WriteMutex;
+    /// Framed reply bytes the socket has not taken yet; [OutHead, end)
+    /// is pending (WriteMutex).
+    std::string Out;
+    size_t OutHead = 0;
+    /// Requests handed to the pool whose reply is not queued yet.
+    std::atomic<unsigned> Pending{0};
+    /// The peer sent EOF (or the read side failed): read no more.
+    std::atomic<bool> ReadClosed{false};
+    /// A hard write error: the peer is gone, replies are dropped.
     std::atomic<bool> Dead{false};
     ~Conn();
+
+    /// Appends one reply (the '\n' is added here) and writes what the
+    /// socket accepts. Returns the bytes left queued.
+    size_t send(std::string Reply);
+    /// Writes queued bytes until the socket would block. Returns the
+    /// bytes left queued.
+    size_t flush();
+    size_t queued();
+
+  private:
+    size_t flushLocked();
+  };
+
+  /// An analyze/infer/explain request the poll thread decoded but could
+  /// not answer from the hot tier.
+  struct Job {
+    std::string IdField; ///< the reply's "id" echo
+    InvocationOptions Opts;
+    std::string Source;
+    std::string Key; ///< invocation key; empty for a bypass run
   };
 
   void handleConnReadable(const std::shared_ptr<Conn> &C);
-  /// Worker-thread entry: process one request line, write one reply.
-  void handleLine(std::shared_ptr<Conn> C, std::string Line);
-  /// Builds the reply for one line. Sets \p Shutdown for "shutdown".
-  std::string processLine(const std::string &Line, bool &Shutdown);
-  std::string runAnalyzeCmd(const std::string &IdField,
-                            const std::string &Cmd, const JsonValue &Req);
+  /// Poll-thread half of one line: decodes it and either returns the
+  /// reply, or fills \p Work and returns "". Sets \p Shutdown for
+  /// "shutdown".
+  std::string routeLine(const std::string &Line, std::optional<Job> &Work,
+                        bool &Shutdown);
+  std::string routeAnalyzeCmd(const std::string &IdField,
+                              const std::string &Cmd, const JsonValue &Req,
+                              std::optional<Job> &Work);
+  /// Worker-thread entry: run one decoded request, queue its reply.
+  void handleJob(const std::shared_ptr<Conn> &C, const Job &J);
+  /// Cold tier, live analysis or bypass run for one decoded request.
+  std::string executeJob(const Job &J);
   std::string statsReply(const std::string &IdField) const;
-  void sendReply(const std::shared_ptr<Conn> &C, std::string_view Reply);
+  /// Retires connections that are Dead, or read-closed with nothing
+  /// pending or queued.
+  void retireConns();
+  /// Flushes queued replies until every queue is empty or no client
+  /// has taken a byte for a second.
+  void drainQueues();
+  /// Wakes the poll loop (async-signal-safe).
+  void wake();
 
   ServerOptions Opts;
   UnixListener Listener;
   std::unique_ptr<CacheStore> Cold;
   HotStore Hot;
   std::unique_ptr<ThreadPool> Pool;
+  unsigned NumThreads = 0; ///< set once by start()
   EventJournal Journal;
   int WakePipe[2] = {-1, -1}; ///< self-pipe: [0] polled, [1] written
   std::atomic<bool> StopRequested{false};
@@ -146,7 +223,8 @@ private:
   uint64_t NextConnId = 1;
   std::chrono::steady_clock::time_point StartTime;
 
-  // Served-request accounting (worker threads bump; stats reads).
+  // Served-request accounting (poll thread and workers bump; stats
+  // reads).
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> HotHits{0};
   std::atomic<uint64_t> ColdHits{0};

@@ -68,14 +68,17 @@ public:
       throw AnalysisAbort(FailureKind::MemoryCap,
                           "arena byte cap of " + std::to_string(ByteLimit) +
                               " bytes exceeded");
-    // Size and Align are <= 2^30 and Offset <= SlabSize <= 2^30, so the
-    // aligned offset and end-of-allocation arithmetic cannot wrap either.
-    size_t Aligned = (Offset + Align - 1) & ~(Align - 1);
+    // Size and Align are <= 2^30 and Offset <= SlabSize <= 2^31, so the
+    // padding and end-of-allocation arithmetic cannot wrap either.
+    size_t Aligned = Slabs.empty() ? 0 : alignedOffset(Offset, Align);
     if (Slabs.empty() || Aligned + Size > SlabSize) {
-      size_t NewSlab = Size > DefaultSlabSize ? Size : DefaultSlabSize;
+      // Slab bases are only guaranteed new[]'s 16-byte alignment, so a
+      // fresh slab reserves room to align the address itself.
+      size_t Need = Size + Align - 1;
+      size_t NewSlab = Need > DefaultSlabSize ? Need : DefaultSlabSize;
       Slabs.push_back(std::make_unique<char[]>(NewSlab));
       SlabSize = NewSlab;
-      Aligned = 0;
+      Aligned = alignedOffset(0, Align);
     }
     Offset = Aligned + Size;
     TotalAllocated += Size;
@@ -93,6 +96,13 @@ public:
 
 private:
   static constexpr size_t DefaultSlabSize = 64 * 1024;
+
+  /// The smallest offset >= \p Off into the current slab whose
+  /// *address* is a multiple of \p Align.
+  size_t alignedOffset(size_t Off, size_t Align) const {
+    uintptr_t Addr = reinterpret_cast<uintptr_t>(Slabs.back().get()) + Off;
+    return Off + ((Align - Addr % Align) % Align);
+  }
 
   std::vector<std::unique_ptr<char[]>> Slabs;
   size_t SlabSize = 0;

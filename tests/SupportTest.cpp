@@ -101,10 +101,21 @@ TEST(UnionFind, ChainUnifyProducesOneClass) {
 //===----------------------------------------------------------------------===//
 
 TEST(Arena, AllocationsAreAligned) {
+  // Odd sizes keep the bump offset misaligned, and ~1.5 MiB in total
+  // crosses many slab boundaries (including fresh slabs whose base is
+  // only 16-byte aligned) at every alignment up to 64.
   Arena A;
-  for (size_t Align : {1u, 2u, 4u, 8u, 16u, 32u}) {
-    void *P = A.allocate(3, Align);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(P) % Align, 0u);
+  for (int Round = 0; Round < 400; ++Round)
+    for (size_t Align : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
+      size_t Size = 3 + (Round * 7 + Align * 13) % 1021;
+      void *P = A.allocate(Size, Align);
+      ASSERT_EQ(reinterpret_cast<uintptr_t>(P) % Align, 0u)
+          << "size " << Size << " align " << Align << " round " << Round;
+    }
+  // Slab-sized requests take the fresh-slab path directly.
+  for (size_t Align : {32u, 64u}) {
+    void *P = A.allocate(64 * 1024, Align);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(P) % Align, 0u) << Align;
   }
 }
 

@@ -1,9 +1,15 @@
 #!/bin/sh
 # run-checks.sh - sanitizer gauntlet:
 #
+#  0. Build with -DCMAKE_BUILD_TYPE=Release (-O3, NDEBUG): optimizer-only
+#     warnings under -Werror (GCC's -Wrestrict false positives on string
+#     operator+ chains) surface here, not only at the default
+#     RelWithDebInfo level.
 #  1. Build the ThreadSanitizer preset and run the tests that exercise
-#     the parallel corpus runner under it (the only concurrency in the
-#     project), then (optionally) the full suite.
+#     the parallel corpus runner under it, and the `serve`-labeled
+#     suite (the daemon's poll thread and pool workers share the hot
+#     store, the counters and every connection's outbound queue), then
+#     (optionally) the full suite.
 #  2. Build the asan-ubsan preset and run a 30-second lna-fuzz smoke on
 #     it: the differential oracles cross-check the analyses while the
 #     sanitizers watch the interpreter/solver memory behavior, plus the
@@ -72,6 +78,10 @@ done
 
 JOBS=$(nproc 2>/dev/null || echo 2)
 
+echo "== configure + build (Release) =="
+cmake -B build-Release -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build-Release -j "$JOBS"
+
 echo "== configure + build (tsan preset) =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
@@ -79,6 +89,9 @@ cmake --build --preset tsan -j "$JOBS"
 echo "== tsan: session driver + parallel corpus tests =="
 ctest --test-dir build-tsan --output-on-failure \
   -R 'Session\.|Corpus\.Parallel|Corpus\.Experiment|cli_corpus'
+
+echo "== tsan: serve suite (poll thread, pool workers, outbound queues) =="
+ctest --test-dir build-tsan --output-on-failure -L serve
 
 if [ "$FULL" -eq 1 ]; then
   echo "== tsan: full suite =="
