@@ -16,8 +16,7 @@
 
 #include "BenchUtil.h"
 
-#include "core/Pipeline.h"
-#include "lang/Parser.h"
+#include "core/Session.h"
 #include "qual/LockAnalysis.h"
 
 #include <cstdio>
@@ -35,19 +34,15 @@ struct AblationCounts {
 AblationCounts runCorpus(bool ApplyDown) {
   AblationCounts Out;
   for (const ModuleSpec &M : lna::bench::cachedCorpus()) {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(M.Source, Ctx, Diags);
-    if (!P)
-      continue;
     PipelineOptions Opts;
     Opts.ApplyDown = ApplyDown;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    if (!R)
+    AnalysisSession S(Opts);
+    if (!S.run(M.Source))
       continue;
-    Out.RestrictsInferred += R->Inference.RestrictableBinds.size();
-    Out.ConfinesSucceeded += R->Inference.SucceededConfines.size();
-    Out.QualErrors += analyzeLocks(Ctx, *R, {}).numErrors();
+    const PipelineResult &R = S.result();
+    Out.RestrictsInferred += R.Inference.RestrictableBinds.size();
+    Out.ConfinesSucceeded += R.Inference.SucceededConfines.size();
+    Out.QualErrors += analyzeLocks(S.context(), R, {}).numErrors();
   }
   return Out;
 }
@@ -72,16 +67,11 @@ std::string downFamilyProgram(unsigned Depth) {
 }
 
 uint64_t restrictsInferred(const std::string &Src, bool ApplyDown) {
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Src, Ctx, Diags);
-  if (!P)
-    return 0;
   PipelineOptions Opts;
   Opts.ApplyDown = ApplyDown;
   Opts.PlaceConfines = false;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  return R ? R->Inference.RestrictableBinds.size() : 0;
+  AnalysisSession S(Opts);
+  return S.run(Src) ? S.result().Inference.RestrictableBinds.size() : 0;
 }
 
 int main() {

@@ -20,8 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
-#include "lang/Parser.h"
+#include "core/Session.h"
 #include "qual/LockAnalysis.h"
 
 #include <cstdio>
@@ -64,18 +63,13 @@ struct Row {
 Row analyze(const std::string &Src) {
   Row Out;
   auto Run = [&Src](PipelineMode Mode, unsigned InlineDepth) -> uint32_t {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Src, Ctx, Diags);
-    if (!P)
-      return ~0u;
     PipelineOptions Opts;
     Opts.Mode = Mode;
     Opts.InlineDepth = InlineDepth;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    if (!R)
+    AnalysisSession S(Opts);
+    if (!S.run(Src))
       return ~0u;
-    return analyzeLocks(Ctx, *R, {}).numErrors();
+    return analyzeLocks(S.context(), S.result(), {}).numErrors();
   };
   Out.Mono = Run(PipelineMode::CheckAnnotations, 0);
   Out.Poly = Run(PipelineMode::CheckAnnotations, 1);

@@ -17,8 +17,7 @@
 
 #include "BenchUtil.h"
 
-#include "core/Pipeline.h"
-#include "lang/Parser.h"
+#include "core/Session.h"
 
 #include <benchmark/benchmark.h>
 
@@ -30,13 +29,11 @@ void runModules(benchmark::State &State, bool Backwards) {
   const auto &Corpus = lna::bench::cachedCorpus();
   for (auto _ : State) {
     for (const ModuleSpec &M : Corpus) {
-      ASTContext Ctx;
-      Diagnostics Diags;
-      auto P = parse(M.Source, Ctx, Diags);
       PipelineOptions Opts;
       Opts.UseBackwardsSearch = Backwards;
-      auto R = runPipeline(Ctx, *P, Opts, Diags);
-      benchmark::DoNotOptimize(R->Inference.RestrictableBinds.size());
+      AnalysisSession S(Opts);
+      S.run(M.Source);
+      benchmark::DoNotOptimize(S.result().Inference.RestrictableBinds.size());
     }
   }
 }
@@ -57,13 +54,11 @@ void runScaling(benchmark::State &State, bool Backwards) {
   // backwards search prunes the irrelevant part.
   std::string Src = lna::bench::scalingProgram(N, 4);
   for (auto _ : State) {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Src, Ctx, Diags);
     PipelineOptions Opts;
     Opts.UseBackwardsSearch = Backwards;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    benchmark::DoNotOptimize(R->Inference.Violations.size());
+    AnalysisSession S(Opts);
+    S.run(Src);
+    benchmark::DoNotOptimize(S.result().Inference.Violations.size());
   }
   State.SetComplexityN(N);
 }

@@ -19,10 +19,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
+#include "core/Session.h"
 #include "lang/AstPrinter.h"
 #include "lang/ExprUtils.h"
-#include "lang/Parser.h"
 
 #include <cstdio>
 
@@ -32,38 +31,32 @@ namespace {
 
 void demo(const char *Title, const char *Source) {
   std::printf("==== %s ====\n%s\n", Title, Source);
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Source, Ctx, Diags);
-  if (!P) {
-    std::printf("%s", Diags.render().c_str());
+  AnalysisSession S;
+  if (!S.run(Source)) {
+    std::printf("%s", S.diags().render().c_str());
     return;
   }
-  PipelineOptions Opts;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  if (!R) {
-    std::printf("%s", Diags.render().c_str());
-    return;
-  }
+  const ASTContext &Ctx = S.context();
+  const PipelineResult &R = S.result();
 
   AstPrinter SubjectPrinter(Ctx);
-  std::printf("candidates: %zu\n", R->OptionalConfines.size());
-  for (ExprId Id : R->OptionalConfines) {
+  std::printf("candidates: %zu\n", R.OptionalConfines.size());
+  for (ExprId Id : R.OptionalConfines) {
     const auto *C = cast<ConfineExpr>(Ctx.expr(Id));
     const auto *Body = dyn_cast<BlockExpr>(C->body());
     std::printf("  confine? %-24s over %zu statement(s): %s\n",
                 SubjectPrinter.print(C->subject()).c_str(),
                 Body ? Body->stmts().size() : 1,
-                R->Inference.confineSucceeded(Id) ? "succeeded" : "failed");
+                R.Inference.confineSucceeded(Id) ? "succeeded" : "failed");
   }
 
   PrintOverlay Overlay;
-  Overlay.BindAsRestrict = R->Inference.RestrictableBinds;
-  for (ExprId Id : R->OptionalConfines)
-    if (!R->Inference.confineSucceeded(Id))
+  Overlay.BindAsRestrict = R.Inference.RestrictableBinds;
+  for (ExprId Id : R.OptionalConfines)
+    if (!R.Inference.confineSucceeded(Id))
       Overlay.DropConfines.insert(Id);
   std::printf("\nAnnotated program:\n%s\n",
-              AstPrinter(Ctx, &Overlay).print(R->Analyzed).c_str());
+              AstPrinter(Ctx, &Overlay).print(R.Analyzed).c_str());
 }
 
 } // namespace

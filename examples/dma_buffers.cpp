@@ -15,9 +15,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
+#include "core/Session.h"
 #include "lang/AstPrinter.h"
-#include "lang/Parser.h"
 #include "qual/Typestate.h"
 
 #include <cstdio>
@@ -45,20 +44,15 @@ fun bad_teardown(i : int) : int {
 )";
 
 uint32_t analyze(const char *Src, PipelineMode Mode, bool AllStrong) {
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Src, Ctx, Diags);
-  if (!P)
-    return ~0u;
   PipelineOptions Opts;
   Opts.Mode = Mode;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  if (!R)
+  AnalysisSession S(Opts);
+  if (!S.run(Src))
     return ~0u;
   TypestateOptions TSOpts;
   TSOpts.AllStrong = AllStrong;
-  TypestateResult Res =
-      analyzeTypestate(Ctx, *R, TypestateProtocol::dmaMapping(), TSOpts);
+  TypestateResult Res = analyzeTypestate(
+      S.context(), S.result(), TypestateProtocol::dmaMapping(), TSOpts);
   for (const TypestateError &E : Res.Errors)
     std::printf("    line %u: %s cannot be verified (state '%s')\n",
                 E.Loc.Line, E.Op.c_str(),

@@ -14,9 +14,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
+#include "core/Session.h"
 #include "lang/AstPrinter.h"
-#include "lang/Parser.h"
 #include "qual/LockAnalysis.h"
 
 #include <cstdio>
@@ -72,47 +71,38 @@ int main() {
 
   // Mode 1 and 3: plain CQual-style aliasing (no inference).
   {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Driver, Ctx, Diags);
-    if (!P)
-      return 1;
     PipelineOptions Opts;
     Opts.Mode = PipelineMode::CheckAnnotations;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    if (!R)
+    AnalysisSession S(Opts);
+    if (!S.run(Driver))
       return 1;
-    reportErrors("no confine inference:", Ctx, *R, false);
-    reportErrors("all updates strong:", Ctx, *R, true);
+    reportErrors("no confine inference:", S.context(), S.result(), false);
+    reportErrors("all updates strong:", S.context(), S.result(), true);
   }
 
   // Mode 2: confine (and restrict) inference.
   {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Driver, Ctx, Diags);
-    if (!P)
+    AnalysisSession S;
+    if (!S.run(Driver))
       return 1;
-    PipelineOptions Opts;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    if (!R)
-      return 1;
-    reportErrors("with confine inference:", Ctx, *R, false);
+    const ASTContext &Ctx = S.context();
+    const PipelineResult &R = S.result();
+    reportErrors("with confine inference:", Ctx, R, false);
 
     std::printf("\nconfine? candidates inserted: %zu, succeeded: %zu\n",
-                R->OptionalConfines.size(),
-                R->Inference.SucceededConfines.size());
+                R.OptionalConfines.size(),
+                R.Inference.SucceededConfines.size());
 
     // Render the program with the successful confines kept and failed
     // candidates dropped -- the annotated program the paper's Section 6
     // transformation would produce.
     PrintOverlay Overlay;
-    Overlay.BindAsRestrict = R->Inference.RestrictableBinds;
-    for (ExprId Id : R->OptionalConfines)
-      if (!R->Inference.confineSucceeded(Id))
+    Overlay.BindAsRestrict = R.Inference.RestrictableBinds;
+    for (ExprId Id : R.OptionalConfines)
+      if (!R.Inference.confineSucceeded(Id))
         Overlay.DropConfines.insert(Id);
     std::printf("\nProgram with inferred annotations:\n%s\n",
-                AstPrinter(Ctx, &Overlay).print(R->Analyzed).c_str());
+                AstPrinter(Ctx, &Overlay).print(R.Analyzed).c_str());
   }
   return 0;
 }

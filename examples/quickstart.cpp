@@ -5,16 +5,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Quickstart: parse a program with explicit `restrict` annotations, run
-// the annotation checker (the paper's Section 4 algorithm), and print the
-// verdicts. Then break the annotation and watch the checker object.
+// Quickstart: analyze a program with explicit `restrict` annotations
+// through an AnalysisSession -- the one entry point into the analysis --
+// running the annotation checker (the paper's Section 4 algorithm), and
+// print the verdicts. Then break the annotation and watch the checker
+// object.
 //
 //   $ ./quickstart
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
-#include "lang/Parser.h"
+#include "core/Session.h"
 
 #include <cstdio>
 
@@ -25,28 +26,24 @@ namespace {
 void checkAndReport(const char *Title, const char *Source) {
   std::printf("---- %s ----\n%s\n", Title, Source);
 
-  ASTContext Ctx;
-  Diagnostics Diags;
-  std::optional<Program> P = parse(Source, Ctx, Diags);
-  if (!P) {
-    std::printf("syntax errors:\n%s\n", Diags.render().c_str());
-    return;
-  }
-
   PipelineOptions Opts;
   Opts.Mode = PipelineMode::CheckAnnotations;
-  std::optional<PipelineResult> R = runPipeline(Ctx, *P, Opts, Diags);
-  if (!R) {
-    std::printf("type errors:\n%s\n", Diags.render().c_str());
+  AnalysisSession S(Opts);
+  if (!S.run(Source)) {
+    std::printf("%s errors:\n%s\n",
+                S.failure()->Kind == FailureKind::ParseError ? "syntax"
+                                                             : "type",
+                S.diags().render().c_str());
     return;
   }
+  const PipelineResult &R = S.result();
 
-  if (R->Checks.ok()) {
+  if (R.Checks.ok()) {
     std::printf("=> all restrict/confine annotations verified\n\n");
     return;
   }
-  std::printf("=> %zu violation(s):\n", R->Checks.Violations.size());
-  for (const RestrictViolation &V : R->Checks.Violations)
+  std::printf("=> %zu violation(s):\n", R.Checks.Violations.size());
+  for (const RestrictViolation &V : R.Checks.Violations)
     std::printf("   - %s\n", V.Message.c_str());
   std::printf("\n");
 }

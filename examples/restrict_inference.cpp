@@ -13,9 +13,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
+#include "core/Session.h"
 #include "lang/AstPrinter.h"
-#include "lang/Parser.h"
 
 #include <cstdio>
 
@@ -46,35 +45,30 @@ fun f(q : ptr int, w : ptr int) : int {
 )";
   std::printf("Input:\n%s\n", Source);
 
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Source, Ctx, Diags);
-  if (!P) {
-    std::printf("%s", Diags.render().c_str());
-    return 1;
-  }
   PipelineOptions Opts;
   Opts.PlaceConfines = false; // restrict inference only
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  if (!R) {
-    std::printf("%s", Diags.render().c_str());
+  AnalysisSession S(Opts);
+  if (!S.run(Source)) {
+    std::printf("%s", S.diags().render().c_str());
     return 1;
   }
+  const ASTContext &Ctx = S.context();
+  const PipelineResult &R = S.result();
 
-  std::printf("Pointer-typed bindings: %zu\n", R->Alias.Binds.size());
-  for (const BindInfo &BI : R->Alias.Binds) {
+  std::printf("Pointer-typed bindings: %zu\n", R.Alias.Binds.size());
+  for (const BindInfo &BI : R.Alias.Binds) {
     if (!BI.IsPointer)
       continue;
     const auto *B = cast<BindExpr>(Ctx.expr(BI.Id));
-    bool Restrictable = R->Inference.RestrictableBinds.count(BI.Id) != 0;
+    bool Restrictable = R.Inference.RestrictableBinds.count(BI.Id) != 0;
     std::printf("  %-4s (line %u): %s\n", Ctx.text(B->name()).c_str(),
                 B->loc().Line,
                 Restrictable ? "restrictable" : "must remain let");
   }
 
   PrintOverlay Overlay;
-  Overlay.BindAsRestrict = R->Inference.RestrictableBinds;
+  Overlay.BindAsRestrict = R.Inference.RestrictableBinds;
   std::printf("\nAnnotated program (inferred restricts materialized):\n%s",
-              AstPrinter(Ctx, &Overlay).print(R->Analyzed).c_str());
+              AstPrinter(Ctx, &Overlay).print(R.Analyzed).c_str());
   return 0;
 }

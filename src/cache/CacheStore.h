@@ -18,7 +18,12 @@
 ///    of the full input identity; there is no invalidation protocol.
 ///    Anything that can change an outcome -- source edit, option change,
 ///    analyzer upgrade (support/Version.h) -- changes the key, and the
-///    old entry simply becomes unreachable.
+///    old entry simply becomes unreachable. A short namespace prefix
+///    lets one directory serve both layers that memoize through it:
+///    "m-" corpus module outcomes (corpus/Experiment.h) and "a-" whole
+///    lna-analyze invocations (serve/Invocation.h). Values are opaque
+///    byte strings; serialization belongs to the layer that owns the
+///    cached type. The analysis core itself knows nothing of caching.
 ///
 ///  * **Atomic publication.** store() writes a private temp file in the
 ///    cache directory and renames it into place. rename(2) is atomic on
@@ -44,15 +49,18 @@
 #ifndef LNA_CACHE_CACHESTORE_H
 #define LNA_CACHE_CACHESTORE_H
 
-#include "support/ResultCache.h"
-
 #include <atomic>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
 
 namespace lna {
 
-/// Directory-backed ResultCache. One file per entry, named by key.
-class CacheStore final : public ResultCache {
+/// Directory-backed content-addressed byte store. One file per entry,
+/// named by key. Safe to call from multiple threads concurrently (the
+/// parallel corpus runner's workers share one store).
+class CacheStore {
 public:
   /// Minimum age (by mtime) before an orphaned temp file is considered
   /// abandoned and swept. A quarter hour is far beyond any legitimate
@@ -79,9 +87,20 @@ public:
   bool ok() const { return Usable; }
   const std::string &directory() const { return Dir; }
 
-  std::optional<std::string> load(std::string_view Key) override;
-  bool store(std::string_view Key, std::string_view Value) override;
-  void noteSemanticStale() override;
+  /// The value published under \p Key, or nullopt (entry absent, or
+  /// present but failed integrity checks -- a corrupt entry is a miss,
+  /// never an error).
+  std::optional<std::string> load(std::string_view Key);
+
+  /// Atomically publishes \p Value under \p Key. Returns false on I/O
+  /// failure; callers treat a failed store as "not cached", never as a
+  /// run failure.
+  bool store(std::string_view Key, std::string_view Value);
+
+  /// Tells the store that a successfully loaded value was semantically
+  /// unusable (deserialization failed, required section missing): the
+  /// caller re-ran the work, so the hit is reclassified as stale.
+  void noteSemanticStale();
 
   uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
   uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }

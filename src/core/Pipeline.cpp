@@ -4,17 +4,8 @@
 // Non-Aliasing" (Aiken, Foster, Kodumal, Terauchi; PLDI 2003).
 //
 //===----------------------------------------------------------------------===//
-//
-// runPipeline is a thin compatibility wrapper over the phase-structured
-// AnalysisSession driver (core/Session.h); the per-phase timings and
-// counters the session collects are discarded here. Callers that want
-// them should construct an AnalysisSession directly.
-//
-//===----------------------------------------------------------------------===//
 
 #include "core/Pipeline.h"
-
-#include "core/Session.h"
 
 using namespace lna;
 
@@ -46,14 +37,4 @@ std::string lna::canonicalOptionsFingerprint(const PipelineOptions &Opts) {
   F += aliasBackendName(Opts.AliasBackend);
   F += ';';
   return F;
-}
-
-std::optional<PipelineResult> lna::runPipeline(ASTContext &Ctx,
-                                               const Program &P,
-                                               const PipelineOptions &Opts,
-                                               Diagnostics &Diags) {
-  AnalysisSession S(Ctx, Diags, Opts);
-  if (!S.run(P))
-    return std::nullopt;
-  return S.takeResult();
 }

@@ -6,20 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The public entry point of the library: parse -> confine? placement ->
-/// standard typing / may-alias analysis -> effect constraint generation ->
-/// restrict/confine checking or inference. The flow-sensitive lock-state
-/// analysis (src/qual) consumes a PipelineResult.
+/// The vocabulary of the analysis pipeline: parse -> confine? placement
+/// -> standard typing / may-alias analysis -> effect constraint
+/// generation -> restrict/confine checking or inference. The options
+/// select what runs; the result holds what it produced. The
+/// flow-sensitive lock-state analysis (src/qual) consumes a
+/// PipelineResult. The pipeline itself is driven by AnalysisSession
+/// (core/Session.h), the one entry point into the analysis.
 ///
 /// Typical use:
 ///
 /// \code
-///   lna::ASTContext Ctx;
-///   lna::Diagnostics Diags;
-///   auto P = lna::parse(Source, Ctx, Diags);
 ///   lna::PipelineOptions Opts;       // inference mode by default
-///   auto R = lna::runPipeline(Ctx, *P, Opts, Diags);
-///   if (R) { ... R->Inference.RestrictableBinds ... }
+///   lna::AnalysisSession S(Opts);
+///   if (S.run(Source)) { ... S.result().Inference.RestrictableBinds ... }
 /// \endcode
 ///
 //===----------------------------------------------------------------------===//
@@ -34,7 +34,6 @@
 #include "core/Inliner.h"
 #include "core/RestrictChecker.h"
 #include "support/Budget.h"
-#include "support/ResultCache.h"
 
 #include <memory>
 #include <optional>
@@ -83,11 +82,6 @@ struct PipelineOptions {
   /// Resource caps the analysis runs under (support/Budget.h). All-zero
   /// (the default) means ungoverned.
   ResourceLimits Limits;
-  /// Optional persistent result cache (support/ResultCache.h). Not part
-  /// of the analysis identity -- canonicalOptionsFingerprint ignores it;
-  /// it only changes *whether* work is recomputed, never what the answer
-  /// is. Owned by the caller; must outlive the run.
-  ResultCache *Cache = nullptr;
 };
 
 /// A canonical, stable "k=v;" rendering of every option that can change
@@ -136,12 +130,6 @@ struct PipelineResult {
   /// CheckAnnotations mode only.
   RestrictCheckResult Checks;
 };
-
-/// Runs the pipeline over a parsed program. Returns std::nullopt when the
-/// program has standard type errors (reported through \p Diags).
-std::optional<PipelineResult> runPipeline(ASTContext &Ctx, const Program &P,
-                                          const PipelineOptions &Opts,
-                                          Diagnostics &Diags);
 
 } // namespace lna
 

@@ -10,11 +10,8 @@
 #include "lang/Parser.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "support/Hash.h"
 #include "support/Timer.h"
-#include "support/Version.h"
 
-#include <cstdio>
 #include <vector>
 
 using namespace lna;
@@ -222,152 +219,13 @@ public:
   }
 };
 
-//===----------------------------------------------------------------------===//
-// Negative-outcome cache entries
-//===----------------------------------------------------------------------===//
-//
-// A deterministic failure (parse error, standard type error) is fully
-// described by its PhaseFailure plus the diagnostics it reported, so a
-// cached entry can replay the whole outcome without touching the
-// pipeline. Entries are length-framed text:
-//
-//   F <failure-kind> <phase-len> <message-len>\n<phase><message>
-//   D <diag-kind-index> <line> <col> <message-len>\n<message>
-//   ... one D record per diagnostic, in emission order ...
-//
-// Length framing (rather than line framing) keeps multi-line messages
-// intact; any parse slip makes the entry semantically stale and the
-// caller re-runs.
-
-/// Reads a length-framed record header + payload starting at \p Pos.
-/// Returns false (without advancing) on any malformation.
-static bool readFramed(const std::string &S, size_t &Pos, size_t Len,
-                       std::string &Out) {
-  if (Len > S.size() - Pos)
-    return false;
-  Out = S.substr(Pos, Len);
-  Pos += Len;
-  return true;
-}
-
-/// Serializes the failure plus the diagnostics emitted during this run
-/// (those at index >= \p FirstDiag; a borrowed Diagnostics sink may hold
-/// earlier runs' output that must not be replayed into future sessions).
-static std::string serializeFailedSession(const PhaseFailure &F,
-                                          const Diagnostics &Diags,
-                                          size_t FirstDiag) {
-  std::string Out;
-  Out += "F ";
-  Out += failureKindName(F.Kind);
-  Out += ' ';
-  Out += std::to_string(F.Phase.size());
-  Out += ' ';
-  Out += std::to_string(F.Message.size());
-  Out += '\n';
-  Out += F.Phase;
-  Out += F.Message;
-  for (size_t I = FirstDiag; I < Diags.all().size(); ++I) {
-    const Diagnostic &D = Diags.all()[I];
-    Out += "D ";
-    Out += std::to_string(static_cast<unsigned>(D.Kind));
-    Out += ' ';
-    Out += std::to_string(D.Loc.Line);
-    Out += ' ';
-    Out += std::to_string(D.Loc.Col);
-    Out += ' ';
-    Out += std::to_string(D.Message.size());
-    Out += '\n';
-    Out += D.Message;
-  }
-  return Out;
-}
-
-/// Replays \p Entry into \p F and \p Diags. Returns false (leaving both
-/// untouched on the failure path's contract: callers re-run) when the
-/// entry does not parse.
-static bool replayFailedSession(const std::string &Entry, PhaseFailure &F,
-                                Diagnostics &Diags) {
-  size_t Pos = 0;
-  char Kind[32] = {0};
-  unsigned long long PhaseLen = 0, MsgLen = 0;
-  int Consumed = 0;
-  if (std::sscanf(Entry.c_str(), "F %31s %llu %llu\n%n", Kind, &PhaseLen,
-                  &MsgLen, &Consumed) != 3 ||
-      Consumed <= 0)
-    return false;
-  Pos = static_cast<size_t>(Consumed);
-  PhaseFailure Parsed;
-  bool KindOk = false;
-  for (unsigned I = 0; I < NumFailureKinds; ++I) {
-    FailureKind K = static_cast<FailureKind>(I);
-    if (std::string_view(Kind) == failureKindName(K)) {
-      Parsed.Kind = K;
-      KindOk = true;
-    }
-  }
-  // Only deterministic outcomes are ever stored; anything else in a
-  // well-formed-looking entry means corruption or version skew.
-  if (!KindOk || (Parsed.Kind != FailureKind::ParseError &&
-                  Parsed.Kind != FailureKind::TypeError))
-    return false;
-  if (!readFramed(Entry, Pos, PhaseLen, Parsed.Phase) ||
-      !readFramed(Entry, Pos, MsgLen, Parsed.Message))
-    return false;
-
-  std::vector<Diagnostic> Replayed;
-  while (Pos < Entry.size()) {
-    unsigned long long DKind = 0, Line = 0, Col = 0, DLen = 0;
-    Consumed = 0;
-    if (std::sscanf(Entry.c_str() + Pos, "D %llu %llu %llu %llu\n%n", &DKind,
-                    &Line, &Col, &DLen, &Consumed) != 4 ||
-        Consumed <= 0 || DKind > static_cast<unsigned>(DiagKind::Note))
-      return false;
-    Pos += static_cast<size_t>(Consumed);
-    Diagnostic D;
-    D.Kind = static_cast<DiagKind>(DKind);
-    D.Loc = SourceLoc{static_cast<uint32_t>(Line), static_cast<uint32_t>(Col)};
-    if (!readFramed(Entry, Pos, DLen, D.Message))
-      return false;
-    Replayed.push_back(std::move(D));
-  }
-
-  for (Diagnostic &D : Replayed) {
-    switch (D.Kind) {
-    case DiagKind::Error:
-      Diags.error(D.Loc, std::move(D.Message));
-      break;
-    case DiagKind::Warning:
-      Diags.warning(D.Loc, std::move(D.Message));
-      break;
-    case DiagKind::Note:
-      Diags.note(D.Loc, std::move(D.Message));
-      break;
-    }
-  }
-  F = std::move(Parsed);
-  return true;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
 // AnalysisSession
 //===----------------------------------------------------------------------===//
 
-AnalysisSession::AnalysisSession(PipelineOptions Opts)
-    : OwnedCtx(std::make_unique<ASTContext>()),
-      OwnedDiags(std::make_unique<Diagnostics>()), Ctx(OwnedCtx.get()),
-      Diags(OwnedDiags.get()), Opts(Opts) {
-  Result.State = std::make_unique<AnalysisState>();
-  Result.State->selectAliasBackend(Opts.AliasBackend);
-  Ctx->setMemoryLimit(Opts.Limits.MaxMemoryBytes);
-  if (Opts.TrackProvenance)
-    Result.State->CS.enableOriginTracking();
-}
-
-AnalysisSession::AnalysisSession(ASTContext &Ctx, Diagnostics &Diags,
-                                 PipelineOptions Opts)
-    : Ctx(&Ctx), Diags(&Diags), Opts(Opts) {
+AnalysisSession::AnalysisSession(PipelineOptions Opts) : Opts(Opts) {
   Result.State = std::make_unique<AnalysisState>();
   Result.State->selectAliasBackend(Opts.AliasBackend);
   Ctx.setMemoryLimit(Opts.Limits.MaxMemoryBytes);
@@ -381,7 +239,7 @@ bool AnalysisSession::runPhase(Phase &P) {
   Timer T;
   Span Sp(P.name());
   bool Ok = false;
-  uint64_t ErrorsBefore = Diags->errorCount();
+  uint64_t ErrorsBefore = Diags.errorCount();
   try {
     // The phase runs under this session's budget and whatever fault hook
     // the caller installed; either may abort it mid-flight.
@@ -395,7 +253,7 @@ bool AnalysisSession::runPhase(Phase &P) {
       FailureKind K = std::string_view(P.name()) == "parse"
                           ? FailureKind::ParseError
                           : FailureKind::TypeError;
-      uint64_t N = Diags->errorCount() - ErrorsBefore;
+      uint64_t N = Diags.errorCount() - ErrorsBefore;
       Failure = PhaseFailure{P.name(), K,
                              std::to_string(N) + " error(s) reported"};
     }
@@ -412,36 +270,9 @@ bool AnalysisSession::runPhase(Phase &P) {
   return Ok;
 }
 
-std::string AnalysisSession::contentKey(std::string_view Source,
-                                        const PipelineOptions &Opts) {
-  ContentDigest D;
-  D.update(std::string_view(AnalyzerVersion));
-  D.update(canonicalOptionsFingerprint(Opts));
-  D.update(Source);
-  return D.hex();
-}
-
 bool AnalysisSession::runPhases(std::string_view Source,
                                 const Program *Parsed) {
   Failure.reset();
-
-  // Negative-outcome cache: a recorded parse/type failure for identical
-  // (version, options, source) replays without running any phase, so a
-  // warm corpus run pays nothing even for its failing modules.
-  std::string Key;
-  size_t FirstDiag = Diags->all().size();
-  if (!Parsed && Opts.Cache) {
-    Key = "s-" + contentKey(Source, Opts);
-    if (std::optional<std::string> Entry = Opts.Cache->load(Key)) {
-      PhaseFailure F;
-      if (replayFailedSession(*Entry, F, *Diags)) {
-        Failure = std::move(F);
-        return false;
-      }
-      Opts.Cache->noteSemanticStale();
-    }
-  }
-
   Budget.arm(Opts.Limits);
 
   std::vector<std::unique_ptr<Phase>> Pipeline;
@@ -463,17 +294,8 @@ bool AnalysisSession::runPhases(std::string_view Source,
     Pipeline.push_back(std::make_unique<InferencePhase>());
 
   for (std::unique_ptr<Phase> &P : Pipeline)
-    if (!runPhase(*P)) {
-      // Only deterministic failures are worth remembering: a timeout or
-      // memory-cap abort depends on the machine and the budget race, and
-      // an internal error may be a transient injected fault.
-      if (!Key.empty() && Failure &&
-          (Failure->Kind == FailureKind::ParseError ||
-           Failure->Kind == FailureKind::TypeError))
-        Opts.Cache->store(Key,
-                          serializeFailedSession(*Failure, *Diags, FirstDiag));
+    if (!runPhase(*P))
       return false;
-    }
   Finished = true;
   return true;
 }
@@ -483,10 +305,3 @@ bool AnalysisSession::run(std::string_view Source) {
 }
 
 bool AnalysisSession::run(const Program &P) { return runPhases({}, &P); }
-
-std::optional<PipelineResult> AnalysisSession::takeResult() {
-  if (!Finished)
-    return std::nullopt;
-  Finished = false;
-  return std::move(Result);
-}

@@ -32,10 +32,7 @@
 /// experiment (src/corpus/Experiment.cpp) runs one session per module per
 /// worker with no shared mutable state.
 ///
-/// The legacy entry point runPipeline (core/Pipeline.h) is a thin wrapper
-/// that borrows the caller's context/diagnostics and discards stats.
-///
-/// Typical use:
+/// The session is the one entry point into the analysis. Typical use:
 ///
 /// \code
 ///   lna::AnalysisSession S(Opts);
@@ -44,6 +41,16 @@
 ///     ... S.result().Inference.RestrictableBinds ...
 ///     std::puts(S.stats().renderText().c_str());
 ///   }
+/// \endcode
+///
+/// A caller that needs the parsed Program itself (to evaluate it, or to
+/// time only the analysis) parses into the session's context and hands
+/// the program to run():
+///
+/// \code
+///   lna::AnalysisSession S(Opts);
+///   auto P = lna::parse(Source, S.context(), S.diags());
+///   if (P && S.run(*P)) { ... }
 /// \endcode
 ///
 //===----------------------------------------------------------------------===//
@@ -92,17 +99,14 @@ class AnalysisSession {
 public:
   /// A self-contained session owning its ASTContext and Diagnostics.
   explicit AnalysisSession(PipelineOptions Opts = {});
-  /// A session borrowing externally owned context and diagnostics (the
-  /// runPipeline compatibility path; prefer the owning constructor).
-  AnalysisSession(ASTContext &Ctx, Diagnostics &Diags, PipelineOptions Opts);
   ~AnalysisSession();
 
   AnalysisSession(const AnalysisSession &) = delete;
   AnalysisSession &operator=(const AnalysisSession &) = delete;
 
-  ASTContext &context() { return *Ctx; }
-  Diagnostics &diags() { return *Diags; }
-  const Diagnostics &diags() const { return *Diags; }
+  ASTContext &context() { return Ctx; }
+  Diagnostics &diags() { return Diags; }
+  const Diagnostics &diags() const { return Diags; }
   const PipelineOptions &options() const { return Opts; }
 
   SessionStats &stats() { return Stats; }
@@ -110,27 +114,10 @@ public:
 
   /// Parses \p Source and runs the analysis phases. Returns false on
   /// parse or standard type errors (reported through diags()).
-  ///
-  /// When options().Cache is set, deterministic failures (parse and
-  /// standard type errors) are memoized under contentKey(): a later
-  /// session over identical source and options replays the recorded
-  /// diagnostics and failure() without running any phase. Successful
-  /// outcomes are not cached here -- a PipelineResult is a live object
-  /// graph; the drivers that own a serializable view of it (the corpus
-  /// runner's per-module outcome, lna-analyze's rendered invocation)
-  /// memoize positive results at their own layer.
   bool run(std::string_view Source);
-  /// Runs the analysis phases over an already parsed program. Never
-  /// consults the cache (there are no source bytes to key on).
+  /// Runs the analysis phases over a program already parsed into
+  /// context(); no parse phase is recorded.
   bool run(const Program &P);
-
-  /// The content key identifying one analysis of \p Source under
-  /// \p Opts: a 128-bit digest of the analyzer version
-  /// (support/Version.h), canonicalOptionsFingerprint(\p Opts), and the
-  /// source bytes. Every cache and checkpoint digest in the tree derives
-  /// from this.
-  static std::string contentKey(std::string_view Source,
-                                const PipelineOptions &Opts);
 
   /// Runs one caller-supplied phase with session timing and counter
   /// instrumentation. This is how layers above core (e.g. the qual lock
@@ -152,8 +139,6 @@ public:
   /// The analysis products; valid only when hasResult().
   PipelineResult &result() { return Result; }
   const PipelineResult &result() const { return Result; }
-  /// Moves the result out (the runPipeline compatibility path).
-  std::optional<PipelineResult> takeResult();
 
   //===--------------------------------------------------------------===//
   // Phase-facing state. Phases are pipeline internals; these accessors
@@ -170,10 +155,8 @@ public:
 private:
   bool runPhases(std::string_view Source, const Program *Parsed);
 
-  std::unique_ptr<ASTContext> OwnedCtx;
-  std::unique_ptr<Diagnostics> OwnedDiags;
-  ASTContext *Ctx;
-  Diagnostics *Diags;
+  ASTContext Ctx;
+  Diagnostics Diags;
   PipelineOptions Opts;
   SessionStats Stats;
   ResourceBudget Budget;

@@ -7,6 +7,7 @@
 
 #include "corpus/Experiment.h"
 
+#include "cache/CacheStore.h"
 #include "core/Session.h"
 #include "obs/EventJournal.h"
 #include "obs/FlightRecorder.h"

@@ -43,7 +43,6 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Budget.h"
-#include "support/ResultCache.h"
 #include "support/Stats.h"
 
 #include <functional>
@@ -56,6 +55,7 @@
 
 namespace lna {
 
+class CacheStore;
 class EventJournal;
 class FlightRecorder;
 class ProgressMeter;
@@ -289,7 +289,7 @@ struct ExperimentOptions {
   /// the module's outcome), and lookups are skipped under TraceDir (a
   /// hit produces no spans; the live run still stores). Owned by the
   /// caller; must outlive the run.
-  ResultCache *Cache = nullptr;
+  CacheStore *Cache = nullptr;
   /// Added to the attempt number feeding moduleFaultSeed, so a worker
   /// process re-running a module after a crash sees fresh fault draws
   /// (the in-process transient retry uses attempts Bias+0 and Bias+1;

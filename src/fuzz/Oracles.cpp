@@ -8,7 +8,7 @@
 #include "fuzz/Oracles.h"
 
 #include "cache/CacheStore.h"
-#include "core/Pipeline.h"
+#include "core/Session.h"
 #include "corpus/Experiment.h"
 #include "lang/AstPrinter.h"
 #include "lang/Parser.h"
@@ -221,11 +221,6 @@ bool programsEqual(const ASTContext &CA, const Program &A,
 OracleOutcome checkSoundness(std::string_view Source,
                              AliasBackendKind Backend) {
   OracleOutcome Out;
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Source, Ctx, Diags);
-  if (!P)
-    return Out;
   PipelineOptions Opts;
   Opts.AliasBackend = Backend;
   // The strict Figure 2/3 semantics: the restrict effect is emitted
@@ -234,15 +229,15 @@ OracleOutcome checkSoundness(std::string_view Source,
   // unused while its aliases are not -- programs that *do* fault under
   // the copying semantics -- so it must not be paired with this oracle.)
   Opts.Mode = PipelineMode::CheckAnnotations;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  if (!R || !R->Checks.ok())
+  AnalysisSession S(Opts);
+  if (!S.run(Source) || !S.result().Checks.ok())
     return Out;
   Out.Applicable = true;
 
   for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
     InterpOptions IO;
     IO.NondetSeed = Seed;
-    RunResult RR = runProgram(Ctx, R->Analyzed, IO);
+    RunResult RR = runProgram(S.context(), S.result().Analyzed, IO);
     if (RR.Status == RunStatus::Err || RR.Status == RunStatus::Stuck) {
       Out.Failed = true;
       Out.Message = std::string("checker accepted the program but the "
@@ -263,19 +258,15 @@ OracleOutcome checkSoundness(std::string_view Source,
 OracleOutcome checkSolverAgreement(std::string_view Source,
                                    AliasBackendKind Backend) {
   OracleOutcome Out;
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Source, Ctx, Diags);
-  if (!P)
-    return Out;
   PipelineOptions Opts;
   Opts.Mode = PipelineMode::CheckAnnotations;
   Opts.AliasBackend = Backend;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  if (!R)
+  AnalysisSession S(Opts);
+  if (!S.run(Source))
     return Out;
+  const PipelineResult &R = S.result();
 
-  ConstraintSystem &CS = R->State->CS;
+  ConstraintSystem &CS = R.State->CS;
   // CHECK-SAT answers reachability over the *unconditional* constraints;
   // it agrees with the propagated solution only when no conditional can
   // fire. Checking-mode graphs satisfy that (conditionals are generated
@@ -294,8 +285,8 @@ OracleOutcome checkSolverAgreement(std::string_view Source,
     EffVar V;
   };
   std::vector<Query> Queries;
-  for (const BindConstraintVars &BV : R->Eff.Binds) {
-    LocId Rho = R->Alias.Binds[BV.BindIdx].Rho;
+  for (const BindConstraintVars &BV : R.Eff.Binds) {
+    LocId Rho = R.Alias.Binds[BV.BindIdx].Rho;
     if (Rho == InvalidLocId || BV.BodyEff == InvalidEffVar)
       continue;
     for (unsigned K = 0; K < 3; ++K)
@@ -351,47 +342,40 @@ std::optional<bool> materializedChecks(const ASTContext &Ctx,
     Overlay.BindAsRestrict.insert(Extra);
   std::string Materialized = AstPrinter(Ctx, &Overlay).print(R.Analyzed);
 
-  ASTContext Ctx2;
-  Diagnostics Diags2;
-  auto P2 = parse(Materialized, Ctx2, Diags2);
-  if (!P2) {
-    Error = "materialized program does not reparse: " + Diags2.render();
-    return std::nullopt;
-  }
   PipelineOptions CheckOpts;
   CheckOpts.Mode = PipelineMode::CheckAnnotations;
   CheckOpts.LiberalRestrictEffect = true;
   CheckOpts.AliasBackend = Backend;
-  auto R2 = runPipeline(Ctx2, *P2, CheckOpts, Diags2);
-  if (!R2) {
-    Error = "materialized program does not retype: " + Diags2.render();
+  AnalysisSession S(CheckOpts);
+  if (!S.run(Materialized)) {
+    Error = S.failure()->Kind == FailureKind::ParseError
+                ? "materialized program does not reparse: "
+                : "materialized program does not retype: ";
+    Error += S.diags().render();
     return std::nullopt;
   }
-  return R2->Checks.ok();
+  return S.result().Checks.ok();
 }
 
 OracleOutcome checkInferenceMaximality(std::string_view Source,
                                        AliasBackendKind Backend) {
   OracleOutcome Out;
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Source, Ctx, Diags);
-  if (!P)
-    return Out;
   PipelineOptions Opts;
   Opts.Mode = PipelineMode::Infer;
   Opts.PlaceConfines = false;
   Opts.AliasBackend = Backend;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
+  AnalysisSession S(Opts);
   // Explicit-annotation violations would make the re-check fail for
   // reasons unrelated to inference: vacuous.
-  if (!R || !R->Inference.Violations.empty())
+  if (!S.run(Source) || !S.result().Inference.Violations.empty())
     return Out;
   Out.Applicable = true;
+  const ASTContext &Ctx = S.context();
+  const PipelineResult &R = S.result();
 
   std::string Error;
   std::optional<bool> Ok =
-      materializedChecks(Ctx, *R, InvalidExprId, Backend, Error);
+      materializedChecks(Ctx, R, InvalidExprId, Backend, Error);
   if (!Ok) {
     Out.Failed = true;
     Out.Message = Error;
@@ -406,13 +390,13 @@ OracleOutcome checkInferenceMaximality(std::string_view Source,
   // Maximality: flipping any rejected pointer let back must fail. Bound
   // the flips so adversarial inputs cannot make one run quadratic.
   unsigned Flips = 0;
-  for (const BindInfo &BI : R->Alias.Binds) {
+  for (const BindInfo &BI : R.Alias.Binds) {
     if (!BI.IsPointer || BI.ExplicitRestrict ||
-        R->Inference.RestrictableBinds.count(BI.Id))
+        R.Inference.RestrictableBinds.count(BI.Id))
       continue;
     if (++Flips > 8)
       break;
-    Ok = materializedChecks(Ctx, *R, BI.Id, Backend, Error);
+    Ok = materializedChecks(Ctx, R, BI.Id, Backend, Error);
     if (!Ok) {
       Out.Failed = true;
       Out.Message = Error;
@@ -527,21 +511,14 @@ OracleOutcome checkCacheIdentity(std::string_view Source,
 // Oracle 6: precision differential (Andersen refines Steensgaard)
 //===----------------------------------------------------------------------===//
 
-/// Parses \p Source into \p Ctx and runs the pipeline under \p Backend.
-/// Parsing and typing are deterministic, so the ExprIds and raw LocIds of
-/// the two backends' runs correspond one-to-one.
-std::optional<PipelineResult> runBackendPipeline(std::string_view Source,
-                                                 ASTContext &Ctx,
-                                                 PipelineMode Mode,
-                                                 AliasBackendKind Backend) {
-  Diagnostics Diags;
-  auto P = parse(Source, Ctx, Diags);
-  if (!P)
-    return std::nullopt;
+/// The options of one backend's run. Parsing and typing are
+/// deterministic, so the ExprIds and raw LocIds of two backends' runs
+/// over one source correspond one-to-one.
+PipelineOptions backendOptions(PipelineMode Mode, AliasBackendKind Backend) {
   PipelineOptions Opts;
   Opts.Mode = Mode;
   Opts.AliasBackend = Backend;
-  return runPipeline(Ctx, *P, Opts, Diags);
+  return Opts;
 }
 
 OracleOutcome checkPrecisionDifferential(std::string_view Source) {
@@ -554,34 +531,35 @@ OracleOutcome checkPrecisionDifferential(std::string_view Source) {
 
   // Inference under both backends: every Steensgaard success must
   // survive the refinement.
-  ASTContext CtxS, CtxA;
-  auto RS = runBackendPipeline(Source, CtxS, PipelineMode::Infer,
-                               AliasBackendKind::Steensgaard);
-  auto RA = runBackendPipeline(Source, CtxA, PipelineMode::Infer,
-                               AliasBackendKind::Andersen);
-  if (!RS || !RA) {
-    if (RS.has_value() != RA.has_value())
+  AnalysisSession SS(
+      backendOptions(PipelineMode::Infer, AliasBackendKind::Steensgaard));
+  AnalysisSession SA(
+      backendOptions(PipelineMode::Infer, AliasBackendKind::Andersen));
+  bool OkS = SS.run(Source), OkA = SA.run(Source);
+  if (!OkS || !OkA) {
+    if (OkS != OkA)
       return Fail("one backend type-checked the program and the other "
                   "did not");
     return Out; // does not parse/type under either: vacuous
   }
   Out.Applicable = true;
+  const PipelineResult &RS = SS.result(), &RA = SA.result();
 
-  for (ExprId Id : RS->Inference.RestrictableBinds)
-    if (!RA->Inference.RestrictableBinds.count(Id))
+  for (ExprId Id : RS.Inference.RestrictableBinds)
+    if (!RA.Inference.RestrictableBinds.count(Id))
       return Fail("bind " + std::to_string(Id) +
                   " is restrictable under steensgaard but not under "
                   "andersen");
-  for (ExprId Id : RS->Inference.SucceededConfines)
-    if (!RA->Inference.SucceededConfines.count(Id))
+  for (ExprId Id : RS.Inference.SucceededConfines)
+    if (!RA.Inference.SucceededConfines.count(Id))
       return Fail("confine " + std::to_string(Id) +
                   " succeeds under steensgaard but not under andersen");
 
   // Per-location refinement of the final inference states. The raw id
   // spaces coincide (same typing run); inference only merges classes.
-  const AliasAnalysis &AAS = *RS->State->AA;
-  const AliasAnalysis &AAA = *RA->State->AA;
-  uint32_t NumLocs = std::min(RS->State->Locs.size(), RA->State->Locs.size());
+  const AliasAnalysis &AAS = *RS.State->AA;
+  const AliasAnalysis &AAA = *RA.State->AA;
+  uint32_t NumLocs = std::min(RS.State->Locs.size(), RA.State->Locs.size());
   for (LocId L = 0; L < NumLocs; ++L)
     if (AAA.isUntrackable(L) && !AAS.isUntrackable(L))
       return Fail("location " + std::to_string(L) +
@@ -591,7 +569,7 @@ OracleOutcome checkPrecisionDifferential(std::string_view Source) {
   // Pairwise may-alias subset over the locations the analyses actually
   // reason about (bind rho/rho' pairs), padded with a strided sweep.
   std::vector<LocId> Sample;
-  for (const BindInfo &BI : RS->Alias.Binds) {
+  for (const BindInfo &BI : RS.Alias.Binds) {
     if (!BI.IsPointer)
       continue;
     if (BI.Rho != InvalidLocId)
@@ -611,15 +589,15 @@ OracleOutcome checkPrecisionDifferential(std::string_view Source) {
 
   // Checking mode: a program that is clean under Steensgaard must stay
   // clean under the refinement.
-  ASTContext CtxCS, CtxCA;
-  auto CS = runBackendPipeline(Source, CtxCS, PipelineMode::CheckAnnotations,
-                               AliasBackendKind::Steensgaard);
-  auto CA = runBackendPipeline(Source, CtxCA, PipelineMode::CheckAnnotations,
-                               AliasBackendKind::Andersen);
-  if (CS.has_value() != CA.has_value())
+  AnalysisSession CS(backendOptions(PipelineMode::CheckAnnotations,
+                                    AliasBackendKind::Steensgaard));
+  AnalysisSession CA(backendOptions(PipelineMode::CheckAnnotations,
+                                    AliasBackendKind::Andersen));
+  bool OkCS = CS.run(Source), OkCA = CA.run(Source);
+  if (OkCS != OkCA)
     return Fail("one backend type-checked the program in checking mode "
                 "and the other did not");
-  if (CS && CA && CS->Checks.ok() && !CA->Checks.ok())
+  if (OkCS && CS.result().Checks.ok() && !CA.result().Checks.ok())
     return Fail("annotations check cleanly under steensgaard but not "
                 "under andersen");
   return Out;

@@ -429,11 +429,9 @@ void printExplanation(AnalysisSession &Session, const PipelineResult &R,
 } // namespace
 
 InvocationResult lna::runInvocation(const InvocationOptions &Cli,
-                                    std::string_view Source,
-                                    ResultCache *SessionCache) {
+                                    std::string_view Source, std::nullptr_t) {
   InvocationResult R;
   PipelineOptions Opts = invocationPipelineOptions(Cli);
-  Opts.Cache = SessionCache;
 
   // Install the observability sinks before the session so every phase,
   // the lock analysis, and --run evaluation all land in them. The
@@ -581,7 +579,7 @@ InvocationResult lna::runInvocationWithStore(const InvocationOptions &Cli,
                                              const std::string &Source,
                                              CacheStore &Store) {
   if (bypassesResultCache(Cli)) {
-    InvocationResult R = runInvocation(Cli, Source, nullptr);
+    InvocationResult R = runInvocation(Cli, Source);
     R.Err.insert(0, resultCacheBypassNote());
     return R;
   }
@@ -594,7 +592,7 @@ InvocationResult lna::runInvocationWithStore(const InvocationOptions &Cli,
     // stale, re-run and overwrite.
     Store.noteSemanticStale();
   }
-  InvocationResult R = runInvocation(Cli, Source, &Store);
+  InvocationResult R = runInvocation(Cli, Source);
   if (invocationCacheable(R.Exit))
     Store.store(Key, encodeInvocation(R));
   return R;

@@ -42,6 +42,7 @@
 #include "cache/CacheStore.h"
 #include "core/Session.h"
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -136,11 +137,15 @@ bool invocationCacheable(int Exit);
 std::string encodeInvocation(const InvocationResult &R);
 bool decodeInvocation(const std::string &Entry, InvocationResult &R);
 
-/// Runs one invocation over \p Source. \p SessionCache optionally backs
-/// the session's negative cache (parse/type-error memoization).
+/// Runs one invocation over \p Source, uncached: one AnalysisSession,
+/// every output byte and the exit status. Caching belongs to the caller
+/// (runInvocationWithStore, the daemon's tiers), keyed by
+/// invocationKey(). The third parameter is unused; it only keeps
+/// perfbench/Serve.cpp's `runInvocation(..., nullptr)` compiling until
+/// that file next changes.
 InvocationResult runInvocation(const InvocationOptions &Opts,
                                std::string_view Source,
-                               ResultCache *SessionCache);
+                               std::nullptr_t = nullptr);
 
 /// The full cached flow over an open store: bypass check (note + live
 /// run), warm "a-" replay, or run-and-record. Exactly what

@@ -448,7 +448,7 @@ std::string Server::routeAnalyzeCmd(const std::string &IdField,
 
 std::string Server::executeJob(const Job &J) {
   if (J.Key.empty()) {
-    InvocationResult R = runInvocation(J.Opts, J.Source, nullptr);
+    InvocationResult R = runInvocation(J.Opts, J.Source);
     BypassRuns.fetch_add(1, std::memory_order_relaxed);
     return resultReply(J.IdField, encodeReplyTail(R, "bypass"));
   }
@@ -469,7 +469,7 @@ std::string Server::executeJob(const Job &J) {
       Cold->noteSemanticStale();
     }
   }
-  InvocationResult R = runInvocation(J.Opts, J.Source, Cold.get());
+  InvocationResult R = runInvocation(J.Opts, J.Source);
   MissRuns.fetch_add(1, std::memory_order_relaxed);
   if (invocationCacheable(R.Exit)) {
     if (Cold)

@@ -8,14 +8,13 @@
 // Covers the result-cache stack end to end: the content digest and the
 // pinned option fingerprint it is built from, the on-disk CacheStore
 // (round trip, corruption tolerance, counters), metrics registry
-// serialization, the session-level negative cache, and the corpus-level
-// promise that cold, warm, and parallel cached runs render byte-identical
-// reports.
+// serialization, and the corpus-level promise that cold, warm, and
+// parallel cached runs render byte-identical reports.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cache/CacheStore.h"
-#include "core/Session.h"
+#include "core/Pipeline.h"
 #include "corpus/Experiment.h"
 #include "obs/Metrics.h"
 #include "support/Hash.h"
@@ -107,18 +106,6 @@ TEST(CacheHash, OptionsFingerprintSeparatesOptions) {
   PipelineOptions E;
   E.AliasBackend = AliasBackendKind::Andersen;
   EXPECT_NE(canonicalOptionsFingerprint(A), canonicalOptionsFingerprint(E));
-}
-
-TEST(CacheHash, SessionContentKeyCoversSourceOptionsAndVersion) {
-  PipelineOptions Opts;
-  std::string K1 = AnalysisSession::contentKey("fun main() { 0 }", Opts);
-  std::string K2 = AnalysisSession::contentKey("fun main() { 0 }", Opts);
-  EXPECT_EQ(K1, K2);
-  EXPECT_EQ(K1.size(), 32u);
-  EXPECT_NE(K1, AnalysisSession::contentKey("fun main() { 1 }", Opts));
-  PipelineOptions Check;
-  Check.Mode = PipelineMode::CheckAnnotations;
-  EXPECT_NE(K1, AnalysisSession::contentKey("fun main() { 0 }", Check));
 }
 
 //===----------------------------------------------------------------------===//
@@ -378,70 +365,6 @@ TEST(CacheMetrics, DeserializeRejectsMalformedBytes) {
   Bytes += "trailing";
   EXPECT_FALSE(R.deserialize(Bytes));
   EXPECT_TRUE(R.empty()); // failed deserialize leaves nothing behind
-}
-
-//===----------------------------------------------------------------------===//
-// Session-level negative cache
-//===----------------------------------------------------------------------===//
-
-TEST(CacheSession, ParseFailureReplaysWithoutReparsing) {
-  CacheStore Store(tempDir("lna_cache_session"));
-  ASSERT_TRUE(Store.ok());
-  PipelineOptions Opts;
-  Opts.Cache = &Store;
-  const char *Bad = "fun broken( {";
-
-  AnalysisSession Cold(Opts);
-  EXPECT_FALSE(Cold.run(Bad));
-  ASSERT_TRUE(Cold.failure());
-  EXPECT_EQ(Cold.failure()->Kind, FailureKind::ParseError);
-  EXPECT_NE(Cold.stats().findPhase("parse"), nullptr);
-  EXPECT_EQ(Store.hits(), 0u);
-
-  AnalysisSession Warm(Opts);
-  EXPECT_FALSE(Warm.run(Bad));
-  ASSERT_TRUE(Warm.failure());
-  EXPECT_EQ(Warm.failure()->Kind, FailureKind::ParseError);
-  EXPECT_EQ(Warm.failure()->Phase, Cold.failure()->Phase);
-  EXPECT_EQ(Warm.diags().render(), Cold.diags().render());
-  // The replay never entered the pipeline: no parse phase ran.
-  EXPECT_EQ(Warm.stats().findPhase("parse"), nullptr);
-  EXPECT_EQ(Store.hits(), 1u);
-}
-
-TEST(CacheSession, TypeErrorsReplayDiagnosticsVerbatim) {
-  CacheStore Store(tempDir("lna_cache_session_type"));
-  ASSERT_TRUE(Store.ok());
-  PipelineOptions Opts;
-  Opts.Cache = &Store;
-  const char *Bad = "fun f() : int { *1 }";
-
-  AnalysisSession Cold(Opts);
-  EXPECT_FALSE(Cold.run(Bad));
-  AnalysisSession Warm(Opts);
-  EXPECT_FALSE(Warm.run(Bad));
-  ASSERT_TRUE(Warm.failure());
-  EXPECT_EQ(Warm.failure()->Kind, FailureKind::TypeError);
-  EXPECT_EQ(Warm.diags().render(), Cold.diags().render());
-  EXPECT_EQ(Store.hits(), 1u);
-}
-
-TEST(CacheSession, SuccessfulRunsAreNotCachedBySession) {
-  // The session cache is a negative cache: successes carry a full
-  // PipelineResult that cannot (and need not) be serialized here.
-  CacheStore Store(tempDir("lna_cache_session_ok"));
-  ASSERT_TRUE(Store.ok());
-  PipelineOptions Opts;
-  Opts.Cache = &Store;
-  const char *Good = "fun main() : int { 0 }";
-
-  AnalysisSession First(Opts);
-  EXPECT_TRUE(First.run(Good));
-  AnalysisSession Second(Opts);
-  EXPECT_TRUE(Second.run(Good));
-  EXPECT_EQ(Store.hits(), 0u);
-  // Both runs really analyzed.
-  EXPECT_NE(Second.stats().findPhase("parse"), nullptr);
 }
 
 //===----------------------------------------------------------------------===//

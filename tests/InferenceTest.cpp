@@ -5,8 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
-#include "lang/Parser.h"
+#include "core/Session.h"
 
 #include <gtest/gtest.h>
 
@@ -15,28 +14,27 @@ using namespace lna;
 namespace {
 
 struct Inferred {
-  ASTContext Ctx;
-  Diagnostics Diags;
-  std::optional<Program> Prog;
-  std::optional<PipelineResult> R;
+  std::unique_ptr<AnalysisSession> S;
+  const PipelineResult *R = nullptr;
 
   void run(std::string_view Src, bool PlaceConfines = false,
            bool Backwards = false) {
-    Prog = parse(Src, Ctx, Diags);
-    ASSERT_TRUE(Prog.has_value()) << Diags.render();
     PipelineOptions Opts;
     Opts.PlaceConfines = PlaceConfines;
     Opts.UseBackwardsSearch = Backwards;
-    R = runPipeline(Ctx, *Prog, Opts, Diags);
-    ASSERT_TRUE(R.has_value()) << Diags.render();
+    S = std::make_unique<AnalysisSession>(Opts);
+    ASSERT_TRUE(S->run(Src)) << S->diags().render();
+    R = &S->result();
   }
+
+  ASTContext &ctx() { return S->context(); }
 
   /// The bind node for variable \p Name (first match).
   const BindInfo *bindOf(const std::string &Name) {
-    Symbol S = Ctx.intern(Name);
+    Symbol Sym = ctx().intern(Name);
     for (const BindInfo &BI : R->Alias.Binds) {
-      const auto *B = cast<BindExpr>(Ctx.expr(BI.Id));
-      if (B->name() == S)
+      const auto *B = cast<BindExpr>(ctx().expr(BI.Id));
+      if (B->name() == Sym)
         return &BI;
     }
     return nullptr;
@@ -239,7 +237,7 @@ TEST(ConfineInference, FailedCandidateIsNotAnError) {
   for (ExprId Id : I.R->Inference.SucceededConfines) {
     const ConfineSiteInfo *CSI = I.R->Alias.confineInfo(Id);
     ASSERT_NE(CSI, nullptr);
-    const auto *Conf = cast<ConfineExpr>(I.Ctx.expr(Id));
+    const auto *Conf = cast<ConfineExpr>(I.ctx().expr(Id));
     const auto *Body = cast<BlockExpr>(Conf->body());
     EXPECT_LE(Body->stmts().size(), 1u);
   }
@@ -258,7 +256,7 @@ TEST(ConfineInference, SubjectWithSideEffectsNeverConfined) {
   // The wide candidate spanning the write must fail; the lock state is
   // not recovered for the unlock.
   for (ExprId Id : I.R->Inference.SucceededConfines) {
-    const auto *Conf = cast<ConfineExpr>(I.Ctx.expr(Id));
+    const auto *Conf = cast<ConfineExpr>(I.ctx().expr(Id));
     const auto *Body = cast<BlockExpr>(Conf->body());
     EXPECT_LE(Body->stmts().size(), 1u);
   }
@@ -276,7 +274,7 @@ TEST(ConfineInference, ScopeChainSelectsOutermostSucceeding) {
         /*PlaceConfines=*/true);
   bool FoundWide = false;
   for (ExprId Id : I.R->Inference.SucceededConfines) {
-    const auto *Conf = cast<ConfineExpr>(I.Ctx.expr(Id));
+    const auto *Conf = cast<ConfineExpr>(I.ctx().expr(Id));
     const auto *Body = cast<BlockExpr>(Conf->body());
     FoundWide |= Body->stmts().size() == 3;
   }
@@ -300,7 +298,7 @@ TEST(ConfineInference, NestedConfinesOfDifferentLocksBothSucceed) {
     const auto *Idx = dyn_cast<IndexExpr>(CSI->Subject);
     ASSERT_NE(Idx, nullptr);
     Subjects.insert(
-        I.Ctx.text(cast<VarRefExpr>(Idx->array())->name()));
+        I.ctx().text(cast<VarRefExpr>(Idx->array())->name()));
   }
   EXPECT_EQ(Subjects.size(), 2u);
 }
@@ -325,7 +323,7 @@ TEST(ConfineInference, OccurrencesShareTheConfinedLocation) {
   // arguments point at its rho'.
   for (ExprId Id : I.R->Inference.SucceededConfines) {
     const ConfineSiteInfo *CSI = I.R->Alias.confineInfo(Id);
-    const auto *Conf = cast<ConfineExpr>(I.Ctx.expr(Id));
+    const auto *Conf = cast<ConfineExpr>(I.ctx().expr(Id));
     const auto *Body = dyn_cast<BlockExpr>(Conf->body());
     if (!Body || Body->stmts().size() != 3)
       continue;

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Inliner.h"
-#include "core/Pipeline.h"
+#include "core/Session.h"
 #include "lang/AstPrinter.h"
 #include "lang/ExprUtils.h"
 #include "lang/Parser.h"
@@ -155,14 +155,10 @@ TEST(Inliner, InlinedProgramStillTypeChecks) {
                     "fun dwl(l : ptr lock) : int {\n"
                     "  spin_lock(l); work(); spin_unlock(l) }\n"
                     "fun f(i : int) : int { dwl(locks[i]) }";
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Src, Ctx, Diags);
-  ASSERT_TRUE(P.has_value());
   PipelineOptions Opts;
   Opts.InlineDepth = 1;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  EXPECT_TRUE(R.has_value()) << Diags.render();
+  AnalysisSession S(Opts);
+  EXPECT_TRUE(S.run(Src)) << S.diags().render();
 }
 
 //===----------------------------------------------------------------------===//
@@ -173,16 +169,14 @@ TEST(Inliner, InlinedProgramStillTypeChecks) {
 //===----------------------------------------------------------------------===//
 
 uint32_t lockErrors(const char *Src, unsigned InlineDepth) {
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Src, Ctx, Diags);
-  EXPECT_TRUE(P.has_value()) << Diags.render();
   PipelineOptions Opts;
   Opts.Mode = PipelineMode::CheckAnnotations; // plain analysis, no confine
   Opts.InlineDepth = InlineDepth;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  EXPECT_TRUE(R.has_value()) << Diags.render();
-  return analyzeLocks(Ctx, *R, {}).numErrors();
+  AnalysisSession S(Opts);
+  EXPECT_TRUE(S.run(Src)) << S.diags().render();
+  ASTContext &Ctx = S.context();
+  PipelineResult &R = S.result();
+  return analyzeLocks(Ctx, R, {}).numErrors();
 }
 
 TEST(Inliner, PolymorphismRecoversStrongUpdatesOnSingletons) {

@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
+#include "core/Session.h"
 #include "lang/AstPrinter.h"
 #include "lang/Parser.h"
 #include "qual/LockAnalysis.h"
@@ -83,33 +83,27 @@ TEST(Printer, InferredAnnotationsRoundTripThroughTheParser) {
   const char *Src = "var locks : array lock;\n"
                     "fun f(i : int) : int {\n"
                     "  spin_lock(locks[i]); work(); spin_unlock(locks[i]) }";
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Src, Ctx, Diags);
-  ASSERT_TRUE(P.has_value());
   PipelineOptions Opts;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  ASSERT_TRUE(R.has_value());
+  AnalysisSession S(Opts);
+  ASSERT_TRUE(S.run(Src)) << S.diags().render();
+  ASTContext &Ctx = S.context();
+  PipelineResult &R = S.result();
   PrintOverlay Overlay;
-  Overlay.BindAsRestrict = R->Inference.RestrictableBinds;
-  for (ExprId Id : R->OptionalConfines)
-    if (!R->Inference.confineSucceeded(Id))
+  Overlay.BindAsRestrict = R.Inference.RestrictableBinds;
+  for (ExprId Id : R.OptionalConfines)
+    if (!R.Inference.confineSucceeded(Id))
       Overlay.DropConfines.insert(Id);
-  std::string Annotated = AstPrinter(Ctx, &Overlay).print(R->Analyzed);
+  std::string Annotated = AstPrinter(Ctx, &Overlay).print(R.Analyzed);
   EXPECT_NE(Annotated.find("confine locks[i] in"), std::string::npos);
 
   // The printed program parses and, with the explicit annotations now in
   // the source, yields a clean lock analysis without any inference.
-  ASTContext Ctx2;
-  Diagnostics D2;
-  auto P2 = parse(Annotated, Ctx2, D2);
-  ASSERT_TRUE(P2.has_value()) << D2.render() << "\n" << Annotated;
   PipelineOptions CheckOpts;
   CheckOpts.Mode = PipelineMode::CheckAnnotations;
-  auto R2 = runPipeline(Ctx2, *P2, CheckOpts, D2);
-  ASSERT_TRUE(R2.has_value());
-  EXPECT_TRUE(R2->Checks.ok());
-  EXPECT_EQ(analyzeLocks(Ctx2, *R2, {}).numErrors(), 0u);
+  AnalysisSession S2(CheckOpts);
+  ASSERT_TRUE(S2.run(Annotated)) << S2.diags().render() << "\n" << Annotated;
+  EXPECT_TRUE(S2.result().Checks.ok());
+  EXPECT_EQ(analyzeLocks(S2.context(), S2.result(), {}).numErrors(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -128,17 +122,15 @@ TEST(QualRegression, RecursionHavocReachesUnmaterializedLocations) {
                     "  spin_unlock(g)\n}";
   for (PipelineMode Mode :
        {PipelineMode::CheckAnnotations, PipelineMode::Infer}) {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Src, Ctx, Diags);
-    ASSERT_TRUE(P.has_value());
     PipelineOptions Opts;
     Opts.Mode = Mode;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    ASSERT_TRUE(R.has_value());
+    AnalysisSession S(Opts);
+    ASSERT_TRUE(S.run(Src)) << S.diags().render();
+    ASTContext &Ctx = S.context();
+    PipelineResult &R = S.result();
     // The acquire after the havoc cannot be verified in either mode --
     // and crucially the two modes agree.
-    EXPECT_EQ(analyzeLocks(Ctx, *R, {}).numErrors(), 1u);
+    EXPECT_EQ(analyzeLocks(Ctx, R, {}).numErrors(), 1u);
   }
 }
 
@@ -151,15 +143,13 @@ TEST(QualRegression, LinearScopeExitIsACopyNotAJoin) {
                     "fun f() : int {\n"
                     "  let p = g in { spin_lock(p) };\n"
                     "  spin_unlock(g)\n}";
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Src, Ctx, Diags);
-  ASSERT_TRUE(P.has_value());
   PipelineOptions Opts; // inference mode: p becomes restrict
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  ASSERT_TRUE(R.has_value());
-  EXPECT_EQ(R->Inference.RestrictableBinds.size(), 1u);
-  EXPECT_EQ(analyzeLocks(Ctx, *R, {}).numErrors(), 0u);
+  AnalysisSession S(Opts);
+  ASSERT_TRUE(S.run(Src)) << S.diags().render();
+  ASTContext &Ctx = S.context();
+  PipelineResult &R = S.result();
+  EXPECT_EQ(R.Inference.RestrictableBinds.size(), 1u);
+  EXPECT_EQ(analyzeLocks(Ctx, R, {}).numErrors(), 0u);
 }
 
 TEST(QualRegression, NonlinearScopeExitStillJoins) {
@@ -169,14 +159,12 @@ TEST(QualRegression, NonlinearScopeExitStillJoins) {
                     "fun f(i : int) : int {\n"
                     "  let p = a[i] in { spin_lock(p) };\n"
                     "  spin_unlock(a[i])\n}";
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Src, Ctx, Diags);
-  ASSERT_TRUE(P.has_value());
   PipelineOptions Opts;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  ASSERT_TRUE(R.has_value());
-  EXPECT_EQ(analyzeLocks(Ctx, *R, {}).numErrors(), 1u);
+  AnalysisSession S(Opts);
+  ASSERT_TRUE(S.run(Src)) << S.diags().render();
+  ASTContext &Ctx = S.context();
+  PipelineResult &R = S.result();
+  EXPECT_EQ(analyzeLocks(Ctx, R, {}).numErrors(), 1u);
 }
 
 TEST(QualRegression, StrictAndLiberalRestrictEffectSemantics) {
@@ -189,16 +177,13 @@ TEST(QualRegression, StrictAndLiberalRestrictEffectSemantics) {
                     "  restrict q = *cell in {\n"
                     "    if n == 0 then 0 else r(n - 1)\n  }\n}";
   for (bool Liberal : {false, true}) {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Src, Ctx, Diags);
-    ASSERT_TRUE(P.has_value());
     PipelineOptions Opts;
     Opts.Mode = PipelineMode::CheckAnnotations;
     Opts.LiberalRestrictEffect = Liberal;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    ASSERT_TRUE(R.has_value());
-    EXPECT_EQ(R->Checks.ok(), Liberal);
+    AnalysisSession S(Opts);
+    ASSERT_TRUE(S.run(Src)) << S.diags().render();
+    PipelineResult &R = S.result();
+    EXPECT_EQ(R.Checks.ok(), Liberal);
   }
 }
 
@@ -243,16 +228,13 @@ TEST(QualRegression, StrictSemanticsStillRejectsUsedDoubleRestrict) {
   const char *Src = "fun f(x : ptr int) : int {\n"
                     "  restrict y = x in restrict z = x in *z }";
   for (bool Liberal : {false, true}) {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Src, Ctx, Diags);
-    ASSERT_TRUE(P.has_value());
     PipelineOptions Opts;
     Opts.Mode = PipelineMode::CheckAnnotations;
     Opts.LiberalRestrictEffect = Liberal;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    ASSERT_TRUE(R.has_value());
-    EXPECT_FALSE(R->Checks.ok());
+    AnalysisSession S(Opts);
+    ASSERT_TRUE(S.run(Src)) << S.diags().render();
+    PipelineResult &R = S.result();
+    EXPECT_FALSE(R.Checks.ok());
   }
 }
 

@@ -20,10 +20,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Session.h"
 #include "corpus/Experiment.h"
-#include "core/Pipeline.h"
 #include "lang/AstPrinter.h"
-#include "lang/Parser.h"
 #include "qual/LockAnalysis.h"
 
 #include <gtest/gtest.h>
@@ -69,38 +68,28 @@ struct InferThenCheck : ::testing::TestWithParam<const char *> {};
 bool materializedProgramChecks(const char *Src,
                                const std::set<ExprId> &ExtraRestricts) {
   // Round 1: infer.
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Src, Ctx, Diags);
-  EXPECT_TRUE(P.has_value()) << Diags.render();
   PipelineOptions Opts;
   Opts.PlaceConfines = false;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  EXPECT_TRUE(R.has_value()) << Diags.render();
+  AnalysisSession S(Opts);
+  EXPECT_TRUE(S.run(Src)) << S.diags().render();
 
   PrintOverlay Overlay;
-  Overlay.BindAsRestrict = R->Inference.RestrictableBinds;
+  Overlay.BindAsRestrict = S.result().Inference.RestrictableBinds;
   for (ExprId Id : ExtraRestricts)
     Overlay.BindAsRestrict.insert(Id);
-  std::string Materialized = AstPrinter(Ctx, &Overlay).print(R->Analyzed);
+  std::string Materialized =
+      AstPrinter(S.context(), &Overlay).print(S.result().Analyzed);
 
   // Round 2: check the materialized program.
-  ASTContext Ctx2;
-  Diagnostics Diags2;
-  auto P2 = parse(Materialized, Ctx2, Diags2);
-  EXPECT_TRUE(P2.has_value()) << Diags2.render() << "\n" << Materialized;
-  if (!P2)
-    return false;
   PipelineOptions CheckOpts;
   CheckOpts.Mode = PipelineMode::CheckAnnotations;
   // Inference uses the liberal restrict-effect semantics (Section 5,
   // footnote 2); check the materialized annotations under the same.
   CheckOpts.LiberalRestrictEffect = true;
-  auto R2 = runPipeline(Ctx2, *P2, CheckOpts, Diags2);
-  EXPECT_TRUE(R2.has_value()) << Diags2.render();
-  if (!R2)
-    return false;
-  return R2->Checks.ok();
+  AnalysisSession S2(CheckOpts);
+  bool Ok = S2.run(Materialized);
+  EXPECT_TRUE(Ok) << S2.diags().render() << "\n" << Materialized;
+  return Ok && S2.result().Checks.ok();
 }
 
 TEST_P(InferThenCheck, InferredRestrictsPassTheChecker) {
@@ -110,18 +99,15 @@ TEST_P(InferThenCheck, InferredRestrictsPassTheChecker) {
 TEST_P(InferThenCheck, InferredSetIsMaximal) {
   // Adding any single non-inferred pointer let as restrict must fail the
   // checker (otherwise the inferred set was not maximum).
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(GetParam(), Ctx, Diags);
-  ASSERT_TRUE(P.has_value());
   PipelineOptions Opts;
   Opts.PlaceConfines = false;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  ASSERT_TRUE(R.has_value());
-  for (const BindInfo &BI : R->Alias.Binds) {
+  AnalysisSession S(Opts);
+  ASSERT_TRUE(S.run(GetParam())) << S.diags().render();
+  const PipelineResult &R = S.result();
+  for (const BindInfo &BI : R.Alias.Binds) {
     if (!BI.IsPointer || BI.ExplicitRestrict)
       continue;
-    if (R->Inference.RestrictableBinds.count(BI.Id))
+    if (R.Inference.RestrictableBinds.count(BI.Id))
       continue;
     EXPECT_FALSE(materializedProgramChecks(GetParam(), {BI.Id}))
         << "bind " << BI.Id << " was not inferred but passes checking";
@@ -165,18 +151,14 @@ TEST_P(BackwardsEquivalence, SameInferenceResults) {
   ModuleSpec M =
       generateModule(ModuleCategory::Recoverable, GetParam() + 11, 8);
   auto Run = [&](bool Backwards) {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(M.Source, Ctx, Diags);
-    EXPECT_TRUE(P.has_value());
     PipelineOptions Opts;
     Opts.UseBackwardsSearch = Backwards;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    EXPECT_TRUE(R.has_value());
+    AnalysisSession S(Opts);
+    EXPECT_TRUE(S.run(M.Source)) << S.diags().render();
     // Compare the *shape* of the results (counts are id-stable across the
     // two runs because parsing is deterministic).
-    return std::make_pair(R->Inference.RestrictableBinds,
-                          R->Inference.SucceededConfines);
+    return std::make_pair(S.result().Inference.RestrictableBinds,
+                          S.result().Inference.SucceededConfines);
   };
   auto Full = Run(false);
   auto Back = Run(true);

@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "lang/Parser.h"
+#include "core/Session.h"
 #include "qual/LockAnalysis.h"
 
 #include <gtest/gtest.h>
@@ -23,28 +23,24 @@ struct Modes {
 Modes analyze(const std::string &Src) {
   Modes Out;
   {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Src, Ctx, Diags);
-    EXPECT_TRUE(P.has_value()) << Diags.render();
     PipelineOptions Opts;
     Opts.Mode = PipelineMode::CheckAnnotations;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    EXPECT_TRUE(R.has_value()) << Diags.render();
-    Out.NoConfine = analyzeLocks(Ctx, *R, {}).numErrors();
+    AnalysisSession S(Opts);
+    EXPECT_TRUE(S.run(Src)) << S.diags().render();
+    ASTContext &Ctx = S.context();
+    PipelineResult &R = S.result();
+    Out.NoConfine = analyzeLocks(Ctx, R, {}).numErrors();
     LockAnalysisOptions Strong;
     Strong.AllStrong = true;
-    Out.AllStrong = analyzeLocks(Ctx, *R, Strong).numErrors();
+    Out.AllStrong = analyzeLocks(Ctx, R, Strong).numErrors();
   }
   {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Src, Ctx, Diags);
-    EXPECT_TRUE(P.has_value());
     PipelineOptions Opts;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    EXPECT_TRUE(R.has_value()) << Diags.render();
-    Out.Confine = analyzeLocks(Ctx, *R, {}).numErrors();
+    AnalysisSession S(Opts);
+    EXPECT_TRUE(S.run(Src)) << S.diags().render();
+    ASTContext &Ctx = S.context();
+    PipelineResult &R = S.result();
+    Out.Confine = analyzeLocks(Ctx, R, {}).numErrors();
   }
   return Out;
 }
@@ -242,16 +238,12 @@ TEST(Qual, LockValueAssignmentLosesPrecisionWeakly) {
 }
 
 TEST(Qual, ErrorRecordsCarrySiteInfo) {
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse("var g : lock;\nfun f() : int { spin_unlock(g) }", Ctx,
-                 Diags);
-  ASSERT_TRUE(P.has_value());
   PipelineOptions Opts;
   Opts.Mode = PipelineMode::CheckAnnotations;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  ASSERT_TRUE(R.has_value());
-  LockAnalysisResult Res = analyzeLocks(Ctx, *R, {});
+  AnalysisSession S(Opts);
+  ASSERT_TRUE(S.run("var g : lock;\nfun f() : int { spin_unlock(g) }"))
+      << S.diags().render();
+  LockAnalysisResult Res = analyzeLocks(S.context(), S.result(), {});
   ASSERT_EQ(Res.numErrors(), 1u);
   EXPECT_FALSE(Res.Errors[0].IsAcquire);
   EXPECT_EQ(Res.Errors[0].Pre, LockState::Unlocked);

@@ -19,7 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
+#include "core/Session.h"
 #include "lang/AstPrinter.h"
 #include "lang/Parser.h"
 #include "qual/LockAnalysis.h"
@@ -190,50 +190,44 @@ TEST_P(RandomSweep, ToolchainInvariantsHold) {
   std::string Source = Gen.generate();
 
   // 1. Parses and type checks.
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Source, Ctx, Diags);
-  ASSERT_TRUE(P.has_value()) << Diags.render() << "\n" << Source;
   PipelineOptions InferOpts;
-  auto Infer = runPipeline(Ctx, *P, InferOpts, Diags);
-  ASSERT_TRUE(Infer.has_value()) << Diags.render() << "\n" << Source;
-  EXPECT_TRUE(Infer->Inference.Violations.empty()) << Source;
+  AnalysisSession SInfer(InferOpts);
+  ASTContext &Ctx = SInfer.context();
+  auto P = parse(Source, Ctx, SInfer.diags());
+  ASSERT_TRUE(P.has_value()) << SInfer.diags().render() << "\n" << Source;
+  ASSERT_TRUE(SInfer.run(*P)) << SInfer.diags().render() << "\n" << Source;
+  PipelineResult &Infer = SInfer.result();
+  EXPECT_TRUE(Infer.Inference.Violations.empty()) << Source;
 
   // 2. Backwards search agrees.
   {
-    ASTContext Ctx2;
-    Diagnostics D2;
-    auto P2 = parse(Source, Ctx2, D2);
-    ASSERT_TRUE(P2.has_value());
     PipelineOptions BackOpts;
     BackOpts.UseBackwardsSearch = true;
-    auto Back = runPipeline(Ctx2, *P2, BackOpts, D2);
-    ASSERT_TRUE(Back.has_value());
-    EXPECT_EQ(Infer->Inference.RestrictableBinds,
-              Back->Inference.RestrictableBinds)
+    AnalysisSession Back(BackOpts);
+    ASSERT_TRUE(Back.run(Source)) << Back.diags().render();
+    EXPECT_EQ(Infer.Inference.RestrictableBinds,
+              Back.result().Inference.RestrictableBinds)
         << Source;
-    EXPECT_EQ(Infer->Inference.SucceededConfines,
-              Back->Inference.SucceededConfines)
+    EXPECT_EQ(Infer.Inference.SucceededConfines,
+              Back.result().Inference.SucceededConfines)
         << Source;
   }
 
   // 3. Mode monotonicity.
-  uint32_t ConfineErrors = analyzeLocks(Ctx, *Infer, {}).numErrors();
+  uint32_t ConfineErrors = analyzeLocks(Ctx, Infer, {}).numErrors();
   uint32_t NoConfineErrors, StrongErrors;
   {
-    ASTContext Ctx3;
-    Diagnostics D3;
-    auto P3 = parse(Source, Ctx3, D3);
-    ASSERT_TRUE(P3.has_value());
     PipelineOptions CheckOpts;
     CheckOpts.Mode = PipelineMode::CheckAnnotations;
-    auto Check = runPipeline(Ctx3, *P3, CheckOpts, D3);
-    ASSERT_TRUE(Check.has_value()) << D3.render();
-    EXPECT_TRUE(Check->Checks.ok());
-    NoConfineErrors = analyzeLocks(Ctx3, *Check, {}).numErrors();
+    AnalysisSession Check(CheckOpts);
+    ASSERT_TRUE(Check.run(Source)) << Check.diags().render();
+    EXPECT_TRUE(Check.result().Checks.ok());
+    NoConfineErrors =
+        analyzeLocks(Check.context(), Check.result(), {}).numErrors();
     LockAnalysisOptions Strong;
     Strong.AllStrong = true;
-    StrongErrors = analyzeLocks(Ctx3, *Check, Strong).numErrors();
+    StrongErrors =
+        analyzeLocks(Check.context(), Check.result(), Strong).numErrors();
   }
   EXPECT_LE(StrongErrors, NoConfineErrors) << Source;
   EXPECT_LE(ConfineErrors, NoConfineErrors) << Source;
@@ -241,24 +235,25 @@ TEST_P(RandomSweep, ToolchainInvariantsHold) {
   // 4. Materialized inferred restricts pass the annotation checker.
   {
     PrintOverlay Overlay;
-    Overlay.BindAsRestrict = Infer->Inference.RestrictableBinds;
-    for (ExprId Id : Infer->OptionalConfines)
-      if (!Infer->Inference.confineSucceeded(Id))
+    Overlay.BindAsRestrict = Infer.Inference.RestrictableBinds;
+    for (ExprId Id : Infer.OptionalConfines)
+      if (!Infer.Inference.confineSucceeded(Id))
         Overlay.DropConfines.insert(Id);
     std::string Materialized =
-        AstPrinter(Ctx, &Overlay).print(Infer->Analyzed);
-    ASTContext Ctx4;
-    Diagnostics D4;
-    auto P4 = parse(Materialized, Ctx4, D4);
-    ASSERT_TRUE(P4.has_value()) << D4.render() << "\n" << Materialized;
+        AstPrinter(Ctx, &Overlay).print(Infer.Analyzed);
     PipelineOptions CheckOpts;
     CheckOpts.Mode = PipelineMode::CheckAnnotations;
     // Inference decides against the liberal restrict-effect semantics
     // (Section 5, footnote 2), so round-tripping must check under it.
     CheckOpts.LiberalRestrictEffect = true;
-    auto Check = runPipeline(Ctx4, *P4, CheckOpts, D4);
-    ASSERT_TRUE(Check.has_value()) << D4.render() << "\n" << Materialized;
-    EXPECT_TRUE(Check->Checks.ok()) << Materialized;
+    AnalysisSession Check(CheckOpts);
+    ASTContext &Ctx4 = Check.context();
+    auto P4 = parse(Materialized, Ctx4, Check.diags());
+    ASSERT_TRUE(P4.has_value())
+        << Check.diags().render() << "\n" << Materialized;
+    ASSERT_TRUE(Check.run(*P4))
+        << Check.diags().render() << "\n" << Materialized;
+    EXPECT_TRUE(Check.result().Checks.ok()) << Materialized;
 
     // 5. Dynamic soundness of the annotated program (Theorem 1).
     for (uint64_t Seed = 1; Seed <= 3; ++Seed) {

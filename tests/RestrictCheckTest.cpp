@@ -10,8 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
-#include "lang/Parser.h"
+#include "core/Session.h"
 
 #include <gtest/gtest.h>
 
@@ -22,19 +21,14 @@ namespace {
 /// Runs the checking pipeline; returns the violations (empty = program's
 /// annotations are correct). Fails the test on standard type errors.
 std::vector<RestrictViolation> checkProgram(const std::string &Src) {
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Src, Ctx, Diags);
-  EXPECT_TRUE(P.has_value()) << Diags.render();
-  if (!P)
-    return {};
   PipelineOptions Opts;
   Opts.Mode = PipelineMode::CheckAnnotations;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  EXPECT_TRUE(R.has_value()) << Diags.render();
-  if (!R)
+  AnalysisSession S(Opts);
+  bool Ok = S.run(Src);
+  EXPECT_TRUE(Ok) << S.diags().render();
+  if (!Ok)
     return {};
-  return R->Checks.Violations;
+  return S.result().Checks.Violations;
 }
 
 bool hasViolation(const std::vector<RestrictViolation> &Vs,
@@ -286,15 +280,12 @@ fun f(q : ptr int) : int {
 )";
   // With (Down): fine -- helper's effect on q's location is visible, but
   // the call happens *before* the restrict scope.
-  ASTContext Ctx1;
-  Diagnostics Diags1;
-  auto P1 = parse(Src, Ctx1, Diags1);
-  ASSERT_TRUE(P1.has_value());
   PipelineOptions WithDown;
   WithDown.Mode = PipelineMode::CheckAnnotations;
-  auto R1 = runPipeline(Ctx1, *P1, WithDown, Diags1);
-  ASSERT_TRUE(R1.has_value());
-  EXPECT_TRUE(R1->Checks.ok());
+  AnalysisSession S1(WithDown);
+  ASSERT_TRUE(S1.run(Src)) << S1.diags().render();
+  PipelineResult &R1 = S1.result();
+  EXPECT_TRUE(R1.Checks.ok());
 }
 
 TEST(RestrictCheck, DownAblationCausesSpuriousFailure) {
@@ -311,19 +302,16 @@ fun f(q : ptr int) : int {
 }
 )";
   for (bool ApplyDown : {true, false}) {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Src, Ctx, Diags);
-    ASSERT_TRUE(P.has_value());
     PipelineOptions Opts;
     Opts.Mode = PipelineMode::CheckAnnotations;
     Opts.ApplyDown = ApplyDown;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    ASSERT_TRUE(R.has_value());
+    AnalysisSession S(Opts);
+    ASSERT_TRUE(S.run(Src)) << S.diags().render();
+    PipelineResult &R = S.result();
     // With (Down) the program checks; the ablation must not make a
     // correct program fail *better* than the real configuration.
     if (ApplyDown) {
-      EXPECT_TRUE(R->Checks.ok());
+      EXPECT_TRUE(R.Checks.ok());
     }
   }
 }

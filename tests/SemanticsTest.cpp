@@ -12,7 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
+#include "core/Session.h"
 #include "corpus/Corpus.h"
 #include "lang/Parser.h"
 #include "semantics/Interp.h"
@@ -315,15 +315,15 @@ struct Theorem1 : ::testing::TestWithParam<const char *> {};
 
 TEST_P(Theorem1, AcceptedProgramsNeverEvaluateToErr) {
   // 1. The checker accepts.
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(GetParam(), Ctx, Diags);
-  ASSERT_TRUE(P.has_value()) << Diags.render();
   PipelineOptions Opts;
   Opts.Mode = PipelineMode::CheckAnnotations;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  ASSERT_TRUE(R.has_value()) << Diags.render();
-  ASSERT_TRUE(R->Checks.ok());
+  AnalysisSession S(Opts);
+  ASTContext &Ctx = S.context();
+  auto P = parse(GetParam(), Ctx, S.diags());
+  ASSERT_TRUE(P.has_value()) << S.diags().render();
+  ASSERT_TRUE(S.run(*P)) << S.diags().render();
+  PipelineResult &R = S.result();
+  ASSERT_TRUE(R.Checks.ok());
 
   // 2. No evaluation (across nondet seeds) reduces to err.
   for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
@@ -380,15 +380,12 @@ TEST(Theorem1Inference, InferredRestrictsAreDynamicallySafe) {
                     "fun f(i : int) : int {\n"
                     "  let p = locks[i] in {\n"
                     "    spin_lock(p); work(); spin_unlock(p) } }";
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Src, Ctx, Diags);
-  ASSERT_TRUE(P.has_value());
   PipelineOptions Opts;
   Opts.PlaceConfines = false;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  ASSERT_TRUE(R.has_value());
-  ASSERT_EQ(R->Inference.RestrictableBinds.size(), 1u);
+  AnalysisSession S(Opts);
+  ASSERT_TRUE(S.run(Src)) << S.diags().render();
+  PipelineResult &R = S.result();
+  ASSERT_EQ(R.Inference.RestrictableBinds.size(), 1u);
 
   // Re-parse with the restrict materialized and run.
   std::string Materialized = Src;

@@ -329,8 +329,8 @@ TEST(ServeInvocation, CacheableExitsAreTheDeterministicOnes) {
 TEST(ServeInvocation, RepeatRunsAreByteIdentical) {
   std::string Source = readFile(fixturePath("demo.lna"));
   InvocationOptions Opts = optsFor({"--print-annotated", "--run"});
-  InvocationResult A = runInvocation(Opts, Source, nullptr);
-  InvocationResult B = runInvocation(Opts, Source, nullptr);
+  InvocationResult A = runInvocation(Opts, Source);
+  InvocationResult B = runInvocation(Opts, Source);
   EXPECT_EQ(A.Exit, 0);
   EXPECT_EQ(A.Exit, B.Exit);
   EXPECT_EQ(A.Out, B.Out);
@@ -348,9 +348,9 @@ TEST(ServeInvocation, SequentialRequestsOnOneThreadMatchFreshProcesses) {
   InvocationOptions Andersen =
       optsFor({"--metrics-out=-", "--no-locks", "--alias=andersen"});
 
-  InvocationResult Fresh = runInvocation(Plain, Source, nullptr);
-  InvocationResult WithAndersen = runInvocation(Andersen, Source, nullptr);
-  InvocationResult After = runInvocation(Plain, Source, nullptr);
+  InvocationResult Fresh = runInvocation(Plain, Source);
+  InvocationResult WithAndersen = runInvocation(Andersen, Source);
+  InvocationResult After = runInvocation(Plain, Source);
 
   EXPECT_NE(WithAndersen.Out.find("alias.andersen."), std::string::npos);
   // The second plain run is byte-identical to the first: no Andersen
@@ -373,7 +373,7 @@ TEST(ServeInvocation, BoundaryScrubShieldsAmbientObsSlots) {
   MetricsRegistry LeakedUnscrubbed;
   {
     MetricsScope Scope(LeakedUnscrubbed);
-    (void)runInvocation(Opts, Source, nullptr);
+    (void)runInvocation(Opts, Source);
   }
   EXPECT_FALSE(LeakedUnscrubbed.empty())
       << "expected the analysis to emit metrics into an ambient registry; "
@@ -386,7 +386,7 @@ TEST(ServeInvocation, BoundaryScrubShieldsAmbientObsSlots) {
   TraceScope TScope(LeakedSink);
   MetricsRegistry *PrevM = exchangeThreadMetrics(nullptr);
   TraceSink *PrevT = exchangeThreadTraceSink(nullptr);
-  (void)runInvocation(Opts, Source, nullptr);
+  (void)runInvocation(Opts, Source);
   exchangeThreadMetrics(PrevM);
   exchangeThreadTraceSink(PrevT);
 
@@ -637,6 +637,59 @@ TEST(ServeDaemon, ColdTierSurvivesRestart) {
   }
 }
 
+TEST(ServeDaemon, ColdTierCountsOneLookupPerRequest) {
+  // Every keyed request that reaches the pool probes the cold tier
+  // exactly once, so the store's own counters reconcile with the
+  // daemon's attribution; and only whole-invocation ("a-") entries are
+  // ever written, including for a parse error.
+  std::string Dir = tempDir("lna_serve_cold_count");
+  std::string Cache = Dir + "/cache";
+  std::string Good = readFile(fixturePath("demo.lna"));
+  std::string Broken = "fun broken( {";
+  auto ColdBalances = [](ServeDaemon &D) {
+    JsonValue Reply = D.rpc("{\"cmd\":\"stats\"}");
+    const JsonValue *S = Reply.field("stats");
+    ASSERT_NE(S, nullptr);
+    const JsonValue *Cold = S->field("cold");
+    ASSERT_NE(Cold, nullptr);
+    auto Num = [](const JsonValue *Obj, const char *Key) {
+      const JsonValue *V = Obj->field(Key);
+      return V && V->asNumber() ? *V->asNumber() : -1.0;
+    };
+    EXPECT_EQ(Num(Cold, "hits") + Num(Cold, "misses") + Num(Cold, "stale"),
+              Num(S, "cold_hits") + Num(S, "miss_runs"));
+  };
+  {
+    ServeDaemon D({"--cache-dir=" + Cache}, Dir);
+    JsonValue Miss =
+        D.rpc(ServeDaemon::encodeRequest("m", "analyze", Good, {}));
+    EXPECT_EQ(*Miss.field("cache")->asString(), "miss");
+    JsonValue Bad =
+        D.rpc(ServeDaemon::encodeRequest("p", "analyze", Broken, {}));
+    EXPECT_EQ(*Bad.field("cache")->asString(), "miss");
+    EXPECT_EQ(Bad.field("exit")->asNumber(), 1.0);
+    ColdBalances(D);
+    EXPECT_EQ(D.shutdown(), 0);
+  }
+  {
+    ServeDaemon D({"--cache-dir=" + Cache}, Dir);
+    JsonValue Hit =
+        D.rpc(ServeDaemon::encodeRequest("c", "analyze", Broken, {}));
+    EXPECT_EQ(*Hit.field("cache")->asString(), "cold");
+    EXPECT_EQ(Hit.field("exit")->asNumber(), 1.0);
+    ColdBalances(D);
+    EXPECT_EQ(D.shutdown(), 0);
+  }
+  size_t Entries = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Cache)) {
+    std::string Name = E.path().filename().string();
+    EXPECT_EQ(Name.rfind("a-", 0), 0u) << Name;
+    EXPECT_EQ(E.path().extension(), ".lnac") << Name;
+    ++Entries;
+  }
+  EXPECT_EQ(Entries, 2u);
+}
+
 TEST(ServeDaemon, ObservabilityRequestsBypassBothTiers) {
   ServeDaemon D;
   std::string Source = readFile(fixturePath("demo.lna"));
@@ -883,7 +936,7 @@ TEST(ServeDaemon, PipelinedBurstWithSlowReaderLosesNoReply) {
   constexpr int Total = 5000;
   std::vector<InvocationResult> Ref;
   for (int V = 0; V < Variants; ++V)
-    Ref.push_back(runInvocation(InvocationOptions{}, tinyModule(V), nullptr));
+    Ref.push_back(runInvocation(InvocationOptions{}, tinyModule(V)));
   std::string Burst;
   for (int I = 0; I < Total; ++I) {
     Burst += ServeDaemon::encodeRequest(idOf("p", I), "analyze",
@@ -930,8 +983,7 @@ TEST(ServeDaemon, InterleavedHotHitsAndMissesAnswerEveryId) {
   constexpr int Pairs = 200;
   std::vector<InvocationResult> WarmRef;
   for (int W = 0; W < Warm; ++W) {
-    WarmRef.push_back(
-        runInvocation(InvocationOptions{}, tinyModule(W), nullptr));
+    WarmRef.push_back(runInvocation(InvocationOptions{}, tinyModule(W)));
     JsonValue R = D.rpc(ServeDaemon::encodeRequest(
         idOf("w", W), "analyze", tinyModule(W), {}));
     EXPECT_EQ(*R.field("cache")->asString(), "miss");
@@ -944,7 +996,7 @@ TEST(ServeDaemon, InterleavedHotHitsAndMissesAnswerEveryId) {
     Burst += '\n';
     // Fresh modules: numbered past every warm one, so each is a miss.
     std::string Fresh = tinyModule(1000 + I);
-    MissRef.push_back(runInvocation(InvocationOptions{}, Fresh, nullptr));
+    MissRef.push_back(runInvocation(InvocationOptions{}, Fresh));
     Burst += ServeDaemon::encodeRequest(idOf("m", I), "analyze",
                                         Fresh, {});
     Burst += '\n';
@@ -975,8 +1027,7 @@ TEST(ServeDaemon, HalfClosedClientStillGetsEveryReply) {
   std::string Burst;
   std::vector<InvocationResult> Ref;
   for (int I = 0; I < Total; ++I) {
-    Ref.push_back(
-        runInvocation(InvocationOptions{}, tinyModule(2000 + I), nullptr));
+    Ref.push_back(runInvocation(InvocationOptions{}, tinyModule(2000 + I)));
     Burst += ServeDaemon::encodeRequest(idOf("q", I), "analyze",
                                         tinyModule(2000 + I), {});
     Burst += '\n';
@@ -1004,7 +1055,7 @@ TEST(ServeDaemon, HalfClosedClientStillGetsEveryReply) {
 TEST(ServeDaemon, ShutdownDeliversRepliesQueuedForASlowReader) {
   ServeDaemon D;
   std::string Source = tinyModule(1);
-  InvocationResult Ref = runInvocation(InvocationOptions{}, Source, nullptr);
+  InvocationResult Ref = runInvocation(InvocationOptions{}, Source);
   (void)D.rpc(ServeDaemon::encodeRequest("warm", "analyze", Source, {}));
   constexpr int Total = 6000;
   std::string Burst;

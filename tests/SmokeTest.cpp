@@ -12,9 +12,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
+#include "core/Session.h"
 #include "lang/AstPrinter.h"
-#include "lang/Parser.h"
 #include "qual/LockAnalysis.h"
 
 #include <gtest/gtest.h>
@@ -48,28 +47,24 @@ ModeErrors analyzeAllModes(const char *Source) {
   ModeErrors Out{};
   {
     // No confine inference (and all-strong, which shares the pipeline).
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Source, Ctx, Diags);
-    EXPECT_TRUE(P.has_value()) << Diags.render();
     PipelineOptions Opts;
     Opts.Mode = PipelineMode::CheckAnnotations;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    EXPECT_TRUE(R.has_value()) << Diags.render();
-    Out.NoConfine = analyzeLocks(Ctx, *R, {}).numErrors();
+    AnalysisSession S(Opts);
+    EXPECT_TRUE(S.run(Source)) << S.diags().render();
+    ASTContext &Ctx = S.context();
+    PipelineResult &R = S.result();
+    Out.NoConfine = analyzeLocks(Ctx, R, {}).numErrors();
     LockAnalysisOptions Strong;
     Strong.AllStrong = true;
-    Out.AllStrong = analyzeLocks(Ctx, *R, Strong).numErrors();
+    Out.AllStrong = analyzeLocks(Ctx, R, Strong).numErrors();
   }
   {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Source, Ctx, Diags);
-    EXPECT_TRUE(P.has_value()) << Diags.render();
     PipelineOptions Opts;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    EXPECT_TRUE(R.has_value()) << Diags.render();
-    Out.ConfineInference = analyzeLocks(Ctx, *R, {}).numErrors();
+    AnalysisSession S(Opts);
+    EXPECT_TRUE(S.run(Source)) << S.diags().render();
+    ASTContext &Ctx = S.context();
+    PipelineResult &R = S.result();
+    Out.ConfineInference = analyzeLocks(Ctx, R, {}).numErrors();
   }
   return Out;
 }

@@ -13,7 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "lang/Parser.h"
+#include "core/Session.h"
 #include "qual/Typestate.h"
 
 #include <gtest/gtest.h>
@@ -32,28 +32,24 @@ TSModes analyzeDma(const std::string &Src) {
   TSModes Out;
   const TypestateProtocol &Dma = TypestateProtocol::dmaMapping();
   {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Src, Ctx, Diags);
-    EXPECT_TRUE(P.has_value()) << Diags.render();
     PipelineOptions Opts;
     Opts.Mode = PipelineMode::CheckAnnotations;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    EXPECT_TRUE(R.has_value()) << Diags.render();
-    Out.NoConfine = analyzeTypestate(Ctx, *R, Dma).numErrors();
+    AnalysisSession S(Opts);
+    EXPECT_TRUE(S.run(Src)) << S.diags().render();
+    ASTContext &Ctx = S.context();
+    PipelineResult &R = S.result();
+    Out.NoConfine = analyzeTypestate(Ctx, R, Dma).numErrors();
     TypestateOptions Strong;
     Strong.AllStrong = true;
-    Out.AllStrong = analyzeTypestate(Ctx, *R, Dma, Strong).numErrors();
+    Out.AllStrong = analyzeTypestate(Ctx, R, Dma, Strong).numErrors();
   }
   {
-    ASTContext Ctx;
-    Diagnostics Diags;
-    auto P = parse(Src, Ctx, Diags);
-    EXPECT_TRUE(P.has_value());
     PipelineOptions Opts;
-    auto R = runPipeline(Ctx, *P, Opts, Diags);
-    EXPECT_TRUE(R.has_value()) << Diags.render();
-    Out.Confine = analyzeTypestate(Ctx, *R, Dma).numErrors();
+    AnalysisSession S(Opts);
+    EXPECT_TRUE(S.run(Src)) << S.diags().render();
+    ASTContext &Ctx = S.context();
+    PipelineResult &R = S.result();
+    Out.Confine = analyzeTypestate(Ctx, R, Dma).numErrors();
   }
   return Out;
 }
@@ -146,34 +142,28 @@ TEST(Typestate, ProtocolsAnalyzeIndependently) {
                     "  dma_map(buf);\n"
                     "  dma_unmap(buf);\n"
                     "  spin_unlock(g)\n}";
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse(Src, Ctx, Diags);
-  ASSERT_TRUE(P.has_value());
   PipelineOptions Opts;
   Opts.Mode = PipelineMode::CheckAnnotations;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  ASSERT_TRUE(R.has_value());
+  AnalysisSession S(Opts);
+  ASSERT_TRUE(S.run(Src)) << S.diags().render();
+  ASTContext &Ctx = S.context();
+  PipelineResult &R = S.result();
   EXPECT_EQ(
-      analyzeTypestate(Ctx, *R, TypestateProtocol::spinLock()).numErrors(),
+      analyzeTypestate(Ctx, R, TypestateProtocol::spinLock()).numErrors(),
       0u);
   EXPECT_EQ(
-      analyzeTypestate(Ctx, *R, TypestateProtocol::dmaMapping()).numErrors(),
+      analyzeTypestate(Ctx, R, TypestateProtocol::dmaMapping()).numErrors(),
       0u);
 }
 
 TEST(Typestate, ErrorRecordsNameTheOperationAndState) {
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse("var buf : lock;\nfun f() : int { dma_unmap(buf) }", Ctx,
-                 Diags);
-  ASSERT_TRUE(P.has_value());
   PipelineOptions Opts;
   Opts.Mode = PipelineMode::CheckAnnotations;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  ASSERT_TRUE(R.has_value());
-  TypestateResult Res =
-      analyzeTypestate(Ctx, *R, TypestateProtocol::dmaMapping());
+  AnalysisSession S(Opts);
+  ASSERT_TRUE(S.run("var buf : lock;\nfun f() : int { dma_unmap(buf) }"))
+      << S.diags().render();
+  TypestateResult Res = analyzeTypestate(S.context(), S.result(),
+                                         TypestateProtocol::dmaMapping());
   ASSERT_EQ(Res.numErrors(), 1u);
   EXPECT_EQ(Res.Errors[0].Op, "dma_unmap");
   EXPECT_EQ(TypestateProtocol::dmaMapping().stateName(Res.Errors[0].Pre),
@@ -182,18 +172,13 @@ TEST(Typestate, ErrorRecordsNameTheOperationAndState) {
 
 TEST(Typestate, ConfinePlacementTriggersOnAnyChangeType) {
   // The block heuristic anchors on change_type calls generically.
-  ASTContext Ctx;
-  Diagnostics Diags;
-  auto P = parse("var bufs : array lock;\n"
-                 "fun f(i : int) : int {\n"
-                 "  dma_map(bufs[i]); work(); dma_unmap(bufs[i]) }",
-                 Ctx, Diags);
-  ASSERT_TRUE(P.has_value());
-  PipelineOptions Opts;
-  auto R = runPipeline(Ctx, *P, Opts, Diags);
-  ASSERT_TRUE(R.has_value());
-  EXPECT_FALSE(R->OptionalConfines.empty());
-  EXPECT_FALSE(R->Inference.SucceededConfines.empty());
+  AnalysisSession S;
+  ASSERT_TRUE(S.run("var bufs : array lock;\n"
+                    "fun f(i : int) : int {\n"
+                    "  dma_map(bufs[i]); work(); dma_unmap(bufs[i]) }"))
+      << S.diags().render();
+  EXPECT_FALSE(S.result().OptionalConfines.empty());
+  EXPECT_FALSE(S.result().Inference.SucceededConfines.empty());
 }
 
 } // namespace

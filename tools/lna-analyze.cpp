@@ -133,7 +133,7 @@ int main(int Argc, char **Argv) {
   std::string Source = Buf.str();
 
   if (Cli.CacheDir.empty())
-    return deliver(runInvocation(Cli, Source, nullptr));
+    return deliver(runInvocation(Cli, Source));
 
   CacheStore Store(Cli.CacheDir);
   if (!Store.ok()) {
