@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 //
 // The observability layer promises to be free when nothing is installed:
-// a Span or obsCounter() with no thread-local sink is a load and a
+// a Span or obsHistogram() with no thread-local sink is a load and a
 // branch. This binary quantifies that promise on the real workload -- a
 // corpus slice analyzed end to end -- in three configurations:
 //
@@ -20,7 +20,8 @@
 //   governed   runModuleGoverned per module, recorder absent
 //   flight     the same with a black-box file flushed at phase sites
 //
-// and a microbenchmark of the disabled Span itself. Results go to
+// and a microbenchmark of the disabled Span plus a disabled cached-handle
+// histogram sample, the pair the solver hot paths run. Results go to
 // BENCH_obs_overhead.json next to the binary's working directory; the
 // guardrails are baseline-vs-uninstrumented overhead below 2% and
 // flight-recorder overhead below 5%. Unlike the other bench binaries
@@ -134,13 +135,15 @@ int main() {
          MetricsS = loQuartile(Metrics), GovernedS = loQuartile(Governed),
          FlightS = loQuartile(Flight);
 
-  // Microbenchmark: the disabled Span plus a disabled counter, the exact
-  // sequence every solver hot path executes when nothing is installed.
+  // Microbenchmark: the disabled Span plus a disabled cached-handle
+  // histogram sample, the exact sequence the solver hot paths (CHECK-SAT
+  // queries, unification) execute when nothing is installed.
   constexpr uint64_t Iters = 20'000'000;
+  static const MetricId Noop = metricId("noop");
   Timer MT;
   for (uint64_t I = 0; I < Iters; ++I) {
     Span Sp("noop");
-    obsCounter("noop");
+    obsHistogram(Noop, I);
   }
   double DisabledSpanNs = MT.seconds() / static_cast<double>(Iters) * 1e9;
 

@@ -530,24 +530,20 @@ bool restoreModuleEntry(const std::string &Entry, bool WantMetrics,
   return true;
 }
 
-/// Chains the run's observability hooks in front of an (optional)
-/// fault injector at every phase-boundary site: first the flight
-/// recorder persists the spans closed so far (so the black box is
-/// current *before* an injected kill fires), then the phase observer
-/// runs, then the inner hook gets its chance to fault there.
-/// Allocation sites bypass all of it -- they fire thousands of times
-/// per module and carry no phase information.
+/// Chains the flight recorder in front of an (optional) fault injector
+/// at every phase-boundary site: the recorder first persists the spans
+/// closed so far and the site itself (so the black box is current
+/// *before* an injected kill fires), then the inner hook gets its chance
+/// to fault there. Allocation sites bypass the recorder -- they fire
+/// thousands of times per module and carry no phase information.
 struct ObservingHook final : FaultHook {
-  const std::function<void(const char *)> *Observer = nullptr;
   FlightRecorder *Flight = nullptr;
   const TraceSink *Sink = nullptr;
   FaultHook *Inner = nullptr;
   void at(const char *Site) override {
     if (std::strncmp(Site, "alloc:", 6) != 0) {
-      if (Flight)
-        Flight->flush(*Sink);
-      if (Observer)
-        (*Observer)(Site);
+      Flight->flush(*Sink);
+      Flight->noteSite(Site);
     }
     if (Inner)
       Inner->at(Site);
@@ -641,13 +637,9 @@ ModuleOutcome lna::runModuleGoverned(const ModuleSpec &Spec,
       MOpts.Faults = Hook.get();
     }
     ObservingHook Observing;
-    if (Opts.PhaseObserver || Opts.Flight) {
-      if (Opts.PhaseObserver)
-        Observing.Observer = &Opts.PhaseObserver;
-      if (Opts.Flight) {
-        Observing.Flight = Opts.Flight;
-        Observing.Sink = Sink;
-      }
+    if (Opts.Flight) {
+      Observing.Flight = Opts.Flight;
+      Observing.Sink = Sink;
       Observing.Inner = Hook.get();
       MOpts.Faults = &Observing;
     }
@@ -682,11 +674,8 @@ ModuleOutcome lna::runModuleGoverned(const ModuleSpec &Spec,
   return Slot;
 }
 
-/// Restores a fresh checkpoint row into an outcome slot. Per-phase
-/// stats of resumed modules are gone, which only affects the (timing-
-/// bearing, non-deterministic) stats section, never the report.
-static void restoreFromCheckpoint(ModuleOutcome &Slot,
-                                  const CheckpointRow &Row) {
+void lna::restoreFromCheckpoint(ModuleOutcome &Slot,
+                                const CheckpointRow &Row) {
   Slot.Resumed = true;
   Slot.Retried = Row.Retried;
   Slot.R.Ok = Row.Failure == FailureKind::None;

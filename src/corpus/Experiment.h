@@ -295,12 +295,6 @@ struct ExperimentOptions {
   /// (the in-process transient retry uses attempts Bias+0 and Bias+1;
   /// the supervisor advances the bias by 2 per crash).
   unsigned FaultAttemptBias = 0;
-  /// When set, called with every phase-boundary fault-point site name
-  /// as the analysis passes it (allocation sites excluded). The corpus
-  /// worker streams these to its supervisor so a crashed worker's last
-  /// known phase survives the crash. Purely observational: does not
-  /// affect caching or outcomes.
-  std::function<void(const char *Site)> PhaseObserver;
   /// When non-null, the runner appends every module's full outcome (in
   /// module order) here -- the raw material of `--shard-out` record
   /// files. Resumed rows appear with Resumed set and empty stats.
@@ -311,8 +305,8 @@ struct ExperimentOptions {
   EventJournal *Events = nullptr;   ///< module dispatch/complete events
   ProgressMeter *Progress = nullptr; ///< live `--progress` status line
   /// Worker black box: when set, a TraceSink is kept per attempt even
-  /// without TraceDir and its tail is flushed to the recorder at every
-  /// phase boundary (see obs/FlightRecorder.h).
+  /// without TraceDir, and at every phase boundary the recorder notes
+  /// the site and receives the sink's tail (see obs/FlightRecorder.h).
   FlightRecorder *Flight = nullptr;
 };
 
@@ -364,6 +358,12 @@ struct CheckpointRow {
 /// trailing integrity sentinel the writer appends.
 std::unordered_map<std::string, CheckpointRow>
 loadCheckpointJournal(const std::string &Path);
+
+/// Restores a fresh checkpoint row into an outcome slot (marked
+/// Resumed). Per-phase stats of resumed modules are gone, which only
+/// affects the (timing-bearing, non-deterministic) stats section, never
+/// the report. Shared by the in-process runner and the supervisor.
+void restoreFromCheckpoint(ModuleOutcome &Slot, const CheckpointRow &Row);
 
 /// Appending, durable checkpoint writer: every row is written with a
 /// trailing sentinel in one write(2) and fsync'ed before append()

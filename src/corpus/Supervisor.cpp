@@ -18,8 +18,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <optional>
 #include <poll.h>
 #include <unistd.h>
@@ -66,6 +68,36 @@ struct SignalGuard {
   }
 };
 
+/// The run's private black-box directory under $TMPDIR (else /tmp),
+/// holding one file per worker slot. It is removed with its contents
+/// on every exit path. An empty Path means it could not be created:
+/// workers then run without black boxes and deaths carry no phase.
+struct FlightDir {
+  std::string Path;
+  FlightDir() {
+    const char *Tmp = std::getenv("TMPDIR");
+    std::string Template =
+        std::string(Tmp && *Tmp ? Tmp : "/tmp") + "/lna-flight-XXXXXX";
+    if (mkdtemp(Template.data()))
+      Path = Template;
+    else
+      std::fprintf(stderr, "lna-corpus: warning: cannot create flight "
+                           "recorder directory (black boxes disabled)\n");
+  }
+  ~FlightDir() { remove(); }
+  FlightDir(const FlightDir &) = delete;
+  FlightDir &operator=(const FlightDir &) = delete;
+  void remove() {
+    std::error_code EC;
+    if (!Path.empty())
+      std::filesystem::remove_all(Path, EC);
+    Path.clear();
+  }
+  std::string slotFile(uint32_t Slot) const {
+    return Path + "/worker-" + std::to_string(Slot) + ".blackbox";
+  }
+};
+
 /// One worker process slot: the child, its incremental stdout buffer,
 /// and what the supervisor knows about its in-flight module.
 struct WorkerSlot {
@@ -77,7 +109,6 @@ struct WorkerSlot {
   bool SawBegin = false;     ///< worker acknowledged the dispatch
   bool TimedOut = false;     ///< we SIGKILLed it for the wall timeout
   uint32_t Module = 0;       ///< in-flight module index (Busy only)
-  std::string LastPhase;     ///< last P marker (crash forensics)
   Clock::time_point Deadline{};  ///< wall timeout of the dispatch
   Clock::time_point RestartAt{}; ///< earliest respawn after a death
   unsigned BackoffMs = 0;        ///< current restart backoff
@@ -85,7 +116,7 @@ struct WorkerSlot {
 
 constexpr unsigned BackoffBaseMs = 10;
 constexpr unsigned BackoffMaxMs = 1000;
-/// Longest tolerated B/P marker line; anything longer is corruption.
+/// Longest tolerated B marker line; anything longer is corruption.
 constexpr size_t MaxMarkerLine = 4096;
 /// How long workers get to exit after Q before they are SIGKILLed.
 constexpr int ShutdownGraceMs = 2000;
@@ -120,12 +151,7 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
       auto It = Resumed.find(Corpus[I].Name);
       if (It == Resumed.end() || It->second.Digest != Digests[I])
         continue;
-      ModuleOutcome &O = Outcomes[I];
-      O.Resumed = true;
-      O.Retried = It->second.Retried;
-      O.R.Ok = It->second.Failure == FailureKind::None;
-      O.R.Failure = It->second.Failure;
-      O.R.Counts = It->second.Counts;
+      restoreFromCheckpoint(Outcomes[I], It->second);
       Done[I] = 1;
       ++Completed;
     }
@@ -134,6 +160,10 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
                    "lna-corpus: warning: cannot append to checkpoint '%s'\n",
                    Opts.CheckpointFile.c_str());
   }
+
+  // Created before any worker is spawned; its destructor cleans up after
+  // every return below.
+  FlightDir Flight;
 
   std::deque<uint32_t> Queue;
   for (size_t I = 0; I < N; ++I)
@@ -158,9 +188,6 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
   EventJournal *Events = Opts.Events;
   auto SlotIndex = [&](const WorkerSlot &S) {
     return static_cast<uint32_t>(&S - Slots.data());
-  };
-  auto FlightPath = [&](uint32_t Slot) {
-    return Sup.FlightDir + "/worker-" + std::to_string(Slot) + ".blackbox";
   };
   // Fleet-trace bookkeeping: when each module was (last) dispatched and
   // to which slot, on the supervisor clock.
@@ -202,10 +229,10 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
     Subprocess P;
     std::string Err;
     std::vector<std::string> Argv = Sup.WorkerArgv;
-    if (!Sup.FlightDir.empty())
+    if (!Flight.Path.empty())
       // Per-slot black box: one writer per file, rewritten as modules
       // are dispatched, recovered by HandleDeath after a crash.
-      Argv.push_back("--flight-file=" + FlightPath(SlotIndex(S)));
+      Argv.push_back("--flight-file=" + Flight.slotFile(SlotIndex(S)));
     if (!P.spawn(Argv, Err)) {
       std::fprintf(stderr, "lna-corpus: warning: worker spawn failed: %s\n",
                    Err.c_str());
@@ -217,7 +244,6 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
     S.SawBegin = false;
     S.TimedOut = false;
     S.Buf.clear();
-    S.LastPhase.clear();
     if (Events)
       Events->event("worker-spawn")
           .num("worker", SlotIndex(S))
@@ -250,7 +276,6 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
     S.Busy = true;
     S.SawBegin = false;
     S.Module = Idx;
-    S.LastPhase.clear();
     if (Sup.WorkerTimeoutMs)
       S.Deadline =
           Clock::now() + std::chrono::milliseconds(Sup.WorkerTimeoutMs);
@@ -286,6 +311,17 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
       return false;
     }
     ++Res.Stats.WorkerCrashes;
+    // The black box is the record of where the worker died. Read it now
+    // and delete it, so a replacement that dies before opening its own
+    // box is never credited with this one.
+    FlightRecording Rec;
+    if (!Flight.Path.empty()) {
+      Rec = loadFlightRecording(Flight.slotFile(Slot));
+      std::remove(Flight.slotFile(Slot).c_str());
+    }
+    const bool RecIsModule =
+        S.Busy && Rec.Valid && Rec.Module == Corpus[S.Module].Name;
+    const std::string Phase = RecIsModule ? Rec.Site : std::string();
     if (Events) {
       if (S.Busy)
         Events->event("worker-death")
@@ -294,7 +330,7 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
             .flag("timed_out", S.TimedOut)
             .num("module", S.Module)
             .str("name", Corpus[S.Module].Name)
-            .str("phase", S.LastPhase);
+            .str("phase", Phase);
       else
         Events->event("worker-death")
             .num("worker", Slot)
@@ -307,13 +343,8 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
     }
     if (S.Busy) {
       uint32_t Idx = S.Module;
-      // Recover the black box now, while it still describes this
-      // module: the slot's next spawn truncates the file.
-      if (!Sup.FlightDir.empty()) {
-        FlightRecording Rec = loadFlightRecording(FlightPath(Slot));
-        if (Rec.Valid && Rec.Module == Corpus[Idx].Name && !Rec.Spans.empty())
-          Flights[Idx] = std::move(Rec);
-      }
+      if (RecIsModule && !Rec.Spans.empty())
+        Flights[Idx] = std::move(Rec);
       ++Crashes[Idx];
       if (Crashes[Idx] >= Sup.MaxModuleCrashes) {
         // Quarantine: the module keeps killing workers, so it becomes a
@@ -323,15 +354,15 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
         O = ModuleOutcome{};
         O.R.Ok = false;
         O.R.Failure = FailureKind::Crashed;
-        O.R.FailedPhase = S.LastPhase;
+        O.R.FailedPhase = Phase;
         O.R.Error =
             S.TimedOut
                 ? "worker exceeded the " +
                       std::to_string(Sup.WorkerTimeoutMs) +
                       " ms wall timeout and was killed"
                 : "worker died (" + St.describe() + ")";
-        if (!S.LastPhase.empty())
-          O.R.Error += " in phase '" + S.LastPhase + "'";
+        if (!Phase.empty())
+          O.R.Error += " in phase '" + Phase + "'";
         else if (!S.SawBegin)
           O.R.Error += " before analysis began";
         O.R.Error += "; quarantined after " + std::to_string(Crashes[Idx]) +
@@ -395,7 +426,6 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
     Journal.append(Corpus[Idx].Name, Digests[Idx], Outcomes[Idx]);
     S.Busy = false;
     S.SawBegin = false;
-    S.LastPhase.clear();
     S.BackoffMs = 0; // a delivered outcome proves the worker is healthy
     if (Events)
       Events->event("module-complete")
@@ -442,15 +472,11 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
     for (;;) {
       if (S.Buf.empty())
         return true;
-      char C = S.Buf[0];
-      if (C == 'B' || C == 'P') {
+      if (S.Buf[0] == 'B') {
         size_t NL = S.Buf.find('\n');
         if (NL == std::string::npos)
           return S.Buf.size() <= MaxMarkerLine;
-        if (C == 'B')
-          S.SawBegin = true;
-        else
-          S.LastPhase = NL > 2 ? S.Buf.substr(2, NL - 2) : std::string();
+        S.SawBegin = true;
         S.Buf.erase(0, NL + 1);
         continue;
       }
@@ -483,6 +509,7 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
       int Sig = StopSignal;
       Journal.close();
       KillAll();
+      Flight.remove(); // the raise below skips the destructors
       Res.Error = std::string("supervisor: interrupted by ") +
                   (Sig == SIGINT ? "SIGINT" : "SIGTERM");
       // Re-raise under the restored default disposition so the caller's
@@ -686,15 +713,6 @@ int lna::runWorkerLoop(const std::vector<ModuleSpec> &Corpus,
     // Whole-run concerns stay with the supervisor.
     Cmd.CheckpointFile.clear();
     Cmd.CaptureOutcomes = nullptr;
-    // Stream phase boundaries up so a crash has a last-known phase. A
-    // failed write is ignored here: if the supervisor is gone, the
-    // outcome write below fails too and ends the loop.
-    Cmd.PhaseObserver = [OutFd](const char *Site) {
-      std::string M = "P ";
-      M += Site;
-      M += '\n';
-      writeAll(OutFd, M);
-    };
 
     if (!writeAll(OutFd, "B " + std::to_string(Idx) + "\n"))
       return 1;

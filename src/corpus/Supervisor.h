@@ -24,8 +24,13 @@
 ///    re-queued with fresh fault draws;
 ///  * a module that kills its worker MaxModuleCrashes times is
 ///    quarantined as a FailureKind::Crashed row carrying forensics --
-///    how the worker died, the last phase it reported, which crash this
-///    was -- and the run continues;
+///    how the worker died, the phase it died in, which crash this was,
+///    the tail of its recovered spans -- and the run continues;
+///  * every worker slot keeps a black box (obs/FlightRecorder.h) in a
+///    private directory the supervisor creates under $TMPDIR and removes
+///    when the run ends. The black box is the only record of where a
+///    worker died: the quarantine row's phase and the `worker-death`
+///    event's `phase` field both come from it;
 ///  * completed outcomes flow back over the same wire format the shard
 ///    record files use, and the final summary is produced by the same
 ///    serial aggregation as the in-process runner, so a supervised
@@ -36,11 +41,10 @@
 ///   supervisor -> worker   M <index> <attempt-bias> <collect-metrics>\n
 ///                          Q\n                      (or stdin EOF)
 ///   worker -> supervisor   B <index>\n              (analysis begins)
-///                          P <phase-site>\n         (phase boundary, 0+)
 ///                          <serialized ModuleOutcome record>
 ///
-/// The B/P markers exist purely so the supervisor knows *where* a
-/// worker was when it died; they carry no analysis state.
+/// The B marker only tells a death before the analysis began from one
+/// during it; the phase comes from the black box, never the pipe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,11 +79,6 @@ struct SupervisorOptions {
   /// Test hook: observes every worker pid right after it is spawned
   /// (used by the crash tests to SIGKILL a live worker mid-run).
   std::function<void(int Pid)> OnWorkerSpawn;
-  /// When nonempty, every worker slot gets a black-box file
-  /// `<FlightDir>/worker-<slot>.blackbox` (spawned with a per-slot
-  /// `--flight-file=`), and a crashed worker's recording is recovered
-  /// and attached to the quarantine forensics (obs/FlightRecorder.h).
-  std::string FlightDir;
   /// When nonempty, a merged Chrome trace_event file is written here
   /// after the run: per-module worker traces (when ExperimentOptions::
   /// TraceDir is set) plus supervisor lifecycle spans, in pid/tid lanes
@@ -126,7 +125,7 @@ SupervisedResult runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
 /// The worker side: reads commands from \p InFd, analyzes the named
 /// module of \p Corpus under \p Opts via runModuleGoverned() (with the
 /// per-command attempt bias and metrics flag applied), and writes the
-/// begin/phase markers and the outcome record to \p OutFd. Returns the
+/// begin marker and the outcome record to \p OutFd. Returns the
 /// process exit status: 0 on Q/EOF, 1 when the supervisor pipe broke,
 /// 2 on a malformed command.
 int runWorkerLoop(const std::vector<ModuleSpec> &Corpus,

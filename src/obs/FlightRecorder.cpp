@@ -8,6 +8,7 @@
 #include "obs/FlightRecorder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
@@ -37,6 +38,7 @@ bool FlightRecorder::open(const std::string &Path) {
   }
   Map = static_cast<char *>(M);
   Map[0] = '\0';
+  Map[SiteSlotBytes] = '\0';
   return true;
 }
 
@@ -71,15 +73,34 @@ void FlightRecorder::beginModule(const std::string &ModuleName) {
   if (!Map)
     return;
   // The black box describes one module at a time: the most recent one.
-  Offset = 0;
+  Map[0] = '\0';
+  Offset = SiteSlotBytes;
   Full = false;
   Cursor = 0;
-  Map[0] = '\0';
+  Map[Offset] = '\0';
   char Hdr[64];
-  int N = std::snprintf(Hdr, sizeof(Hdr), "lna-blackbox 1 %zu\n",
+  int N = std::snprintf(Hdr, sizeof(Hdr), "lna-blackbox 2 %zu\n",
                         ModuleName.size());
   append(Hdr, static_cast<size_t>(N));
   append(ModuleName.data(), ModuleName.size());
+}
+
+void FlightRecorder::noteSite(const char *Site) {
+  if (!Map)
+    return;
+  size_t Len = std::min(std::strlen(Site), SiteSlotBytes - 1);
+  // The first byte commits the slot: it is cleared before the rest is
+  // rewritten and set last, so a kill mid-update leaves an empty slot
+  // rather than a mix of two names. The fences keep the compiler from
+  // merging or reordering those stores.
+  Map[0] = '\0';
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  if (Len > 1)
+    std::memcpy(Map + 1, Site + 1, Len - 1);
+  Map[Len] = '\0';
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  if (Len)
+    Map[0] = Site[0];
 }
 
 namespace {
@@ -169,17 +190,23 @@ FlightRecording lna::loadFlightRecording(const std::string &Path) {
     Data.append(Buf, Got);
   std::fclose(F);
 
-  // Header: "lna-blackbox 1 <name-len>\n<name>".
-  size_t Pos = Data.find('\n');
+  // Site slot, then the header "lna-blackbox 2 <name-len>\n<name>".
+  if (Data.size() <= FlightRecorder::SiteSlotBytes)
+    return R;
+  std::string Site =
+      Data.substr(0, std::min(Data.find('\0'), FlightRecorder::SiteSlotBytes));
+  size_t Pos = Data.find('\n', FlightRecorder::SiteSlotBytes);
   if (Pos == std::string::npos)
     return R;
   unsigned long long NameLen = 0;
-  if (std::sscanf(Data.c_str(), "lna-blackbox 1 %llu", &NameLen) != 1)
+  if (std::sscanf(Data.c_str() + FlightRecorder::SiteSlotBytes,
+                  "lna-blackbox 2 %llu", &NameLen) != 1)
     return R;
   size_t NameStart = Pos + 1;
   if (NameStart + NameLen > Data.size())
     return R; // torn header: name truncated by the death
   R.Module = Data.substr(NameStart, static_cast<size_t>(NameLen));
+  R.Site = std::move(Site);
   R.Valid = true;
   Pos = NameStart + static_cast<size_t>(NameLen);
 

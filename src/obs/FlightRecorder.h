@@ -7,14 +7,21 @@
 ///
 /// \file
 /// The worker flight recorder: a black-box file each `--worker` process
-/// keeps current with the tail of its TraceSink so the supervisor can
-/// answer "what was the worker *doing*" after a SIGKILL or OOM death --
-/// the one failure shape where the worker cannot report anything itself.
+/// keeps current so the supervisor can answer "where was the worker, and
+/// what was it *doing*" after a SIGKILL or OOM death -- the one failure
+/// shape where the worker cannot report anything itself. The black box
+/// is the only record of a dead worker's position: the supervisor takes
+/// the quarantine row's phase and the `worker-death` event's `phase`
+/// field from it.
 ///
-/// The recorder piggybacks on the spans the analysis already opens: at
-/// every phase boundary (the same observer hook fault injection uses)
-/// the worker drains the spans closed since the previous flush straight
-/// out of the sink's ring and appends them as one length-framed frame.
+/// At every phase boundary (the same hook fault injection uses) the
+/// worker records two things:
+///
+///  * the boundary's site name, overwriting a fixed slot at the start of
+///    the file -- so the site survives even when no span closed since
+///    the previous boundary or the frames have filled the mapping;
+///  * the spans closed since the previous flush, drained straight out of
+///    the sink's ring and appended as one length-framed frame.
 ///
 /// Storage is a fixed-size file mapped once with mmap(2): a flush is a
 /// formatted memcpy into the mapping plus a NUL sentinel after the last
@@ -26,17 +33,20 @@
 /// module writes past the mapping's capacity are dropped (the box keeps
 /// the oldest frames; capacity fits thousands of spans).
 ///
-/// File format (text, single writer, one file per worker slot):
+/// File format (single writer, one file per worker slot):
 ///
-///   lna-blackbox 1 <name-len>\n<name>      -- per-module header
+///   <site>\0...                            -- SiteSlotBytes-byte slot
+///   lna-blackbox 2 <name-len>\n<name>      -- per-module header
 ///   F <span-count> <payload-len>\n<payload> -- zero or more frames
 ///
 /// where the payload is span-count lines of `<start> <dur> <depth>
-/// <name>\n` (microseconds since the module's sink epoch). beginModule
-/// rewinds to offset zero and rewrites the header, so the file always
-/// describes the most recent module -- exactly the one in flight when a
-/// worker dies. The NUL sentinel fences off whatever stale bytes of the
-/// previous module sit beyond the committed region.
+/// <name>\n` (microseconds since the module's sink epoch). The slot
+/// holds the last phase-boundary site as a NUL-terminated name (empty
+/// before the first boundary). beginModule empties the slot, rewinds
+/// the frames to just past it and rewrites the header, so the file
+/// always describes the most recent module -- exactly the one in flight
+/// when a worker dies. The NUL sentinel fences off whatever stale bytes
+/// of the previous module sit beyond the committed region.
 ///
 /// The loader is torn-tail-tolerant in the style of the PR 8 checkpoint
 /// journal: a frame whose declared length runs past the sentinel, or
@@ -72,16 +82,24 @@ public:
   bool isOpen() const { return Fd >= 0; }
   void close();
 
-  /// Starts recording \p ModuleName: rewinds the mapping and writes a
-  /// fresh header. Call once per analysis attempt, before any flush.
+  /// Starts recording \p ModuleName: empties the site slot, rewinds the
+  /// frames and writes a fresh header. Call once per analysis attempt,
+  /// before any flush.
   void beginModule(const std::string &ModuleName);
 
   /// Appends the spans \p Sink closed since the previous flush as one
   /// frame. Pure memory writes; cheap when nothing new closed.
   void flush(const TraceSink &Sink);
 
+  /// Overwrites the site slot with \p Site, the phase boundary the
+  /// worker just passed (truncated to SiteSlotBytes - 1 bytes). A death
+  /// mid-update leaves the slot empty, never a torn name.
+  void noteSite(const char *Site);
+
   /// Size of the mapped black-box file.
   static constexpr size_t MapBytes = 1 << 16;
+  /// Size of the site slot at the start of the file.
+  static constexpr size_t SiteSlotBytes = 64;
 
 private:
   void append(const char *Data, size_t Len);
@@ -101,8 +119,9 @@ struct FlightRecording {
     uint64_t Dur = 0;
     uint32_t Depth = 0;
   };
-  bool Valid = false;  ///< header parsed; Spans meaningful
+  bool Valid = false;  ///< header parsed; Site and Spans meaningful
   std::string Module;  ///< module the worker was analyzing
+  std::string Site;    ///< last phase-boundary site passed (empty: none)
   std::vector<Span> Spans; ///< complete frames' spans, oldest first
 };
 

@@ -121,28 +121,6 @@ void MetricsRegistry::recordValue(std::string_view Name, uint64_t V) {
   Histograms.back().second.record(V);
 }
 
-void MetricsRegistry::addCounter(MetricId Id, uint64_t Delta) {
-  if (Id.Id < CounterIdx.size()) {
-    if (uint32_t Slot = CounterIdx[Id.Id]) {
-      Counters[Slot - 1].second += Delta;
-      return;
-    }
-  } else {
-    CounterIdx.resize(Id.Id + 1, 0);
-  }
-  // First touch of this registry: resolve against entries the string
-  // path (or deserialize) may already have created, else append --
-  // exactly what addCounter(Name) would do, preserving first-seen order.
-  for (size_t I = 0; I < Counters.size(); ++I)
-    if (Counters[I].first == *Id.NamePtr) {
-      CounterIdx[Id.Id] = static_cast<uint32_t>(I + 1);
-      Counters[I].second += Delta;
-      return;
-    }
-  Counters.emplace_back(*Id.NamePtr, Delta);
-  CounterIdx[Id.Id] = static_cast<uint32_t>(Counters.size());
-}
-
 void MetricsRegistry::recordValue(MetricId Id, uint64_t V) {
   if (Id.Id < HistogramIdx.size()) {
     if (uint32_t Slot = HistogramIdx[Id.Id]) {
@@ -152,6 +130,9 @@ void MetricsRegistry::recordValue(MetricId Id, uint64_t V) {
   } else {
     HistogramIdx.resize(Id.Id + 1, 0);
   }
+  // First touch of this registry: resolve against entries the string
+  // path (or deserialize) may already have created, else append --
+  // exactly what recordValue(Name) would do, preserving first-seen order.
   for (size_t I = 0; I < Histograms.size(); ++I)
     if (Histograms[I].first == *Id.NamePtr) {
       HistogramIdx[Id.Id] = static_cast<uint32_t>(I + 1);
@@ -330,14 +311,12 @@ bool MetricsRegistry::deserialize(std::string_view Bytes) {
   Counters.clear();
   Histograms.clear();
   // Cached-handle slot maps refer to the cleared storage.
-  CounterIdx.clear();
   HistogramIdx.clear();
   std::string S(Bytes);
   size_t Pos = 0;
   auto Fail = [this] {
     Counters.clear();
     Histograms.clear();
-    CounterIdx.clear();
     HistogramIdx.clear();
     return false;
   };

@@ -25,10 +25,10 @@
 ///
 /// Recording goes through the same thread-local scope idiom as
 /// support/Budget.h and obs/Trace.h: a MetricsScope installs a registry
-/// for the current thread, and the free functions obsCounter() /
-/// obsHistogram() are a thread-local load and a branch when no registry
-/// is installed -- hot paths record unconditionally at no cost when
-/// observability is off.
+/// for the current thread, and obsHistogram() is a thread-local load
+/// and a branch when no registry is installed -- hot paths record
+/// unconditionally at no cost when observability is off. Counters are
+/// added to a registry directly (the corpus tool's cache counters).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -151,10 +151,9 @@ public:
   void recordValue(std::string_view Name, uint64_t V);
 
   /// Cached-handle fast path: O(1) after the handle's first touch of
-  /// this registry. Appends exactly like the string overloads, so
-  /// name order -- and therefore merge/text/JSON output -- is
-  /// byte-identical whichever path records first.
-  void addCounter(MetricId Id, uint64_t Delta);
+  /// this registry. Appends exactly like the string overload, so name
+  /// order -- and therefore merge/text/JSON output -- is byte-identical
+  /// whichever path records first.
   void recordValue(MetricId Id, uint64_t V);
 
   /// The counter's value, 0 if never recorded.
@@ -196,10 +195,9 @@ public:
 private:
   std::vector<std::pair<std::string, uint64_t>> Counters;
   std::vector<std::pair<std::string, Histogram>> Histograms;
-  /// MetricId -> slot index + 1 (0 = not yet resolved against this
-  /// registry). Indexes stay valid across appends; deserialize() clears
-  /// them along with the slots.
-  std::vector<uint32_t> CounterIdx;
+  /// MetricId -> histogram slot index + 1 (0 = not yet resolved against
+  /// this registry). Indexes stay valid across appends; deserialize()
+  /// clears them along with the slots.
   std::vector<uint32_t> HistogramIdx;
 };
 
@@ -226,29 +224,19 @@ private:
   MetricsRegistry *Prev;
 };
 
-/// Adds \p Delta to counter \p Name in the current thread's registry;
-/// no-op (a thread-local load and a branch) when none is installed.
-inline void obsCounter(std::string_view Name, uint64_t Delta = 1) {
-  if (MetricsRegistry *R = currentMetrics())
-    R->addCounter(Name, Delta);
-}
-
 /// Records \p V into histogram \p Name in the current thread's
-/// registry; no-op when none is installed.
+/// registry; no-op (a thread-local load and a branch) when none is
+/// installed.
 inline void obsHistogram(std::string_view Name, uint64_t V) {
   if (MetricsRegistry *R = currentMetrics())
     R->recordValue(Name, V);
 }
 
-/// Cached-handle variants for hot call sites:
+/// Cached-handle variant for hot call sites:
 /// \code
 ///   static const MetricId Visits = metricId("checksat-visits");
 ///   obsHistogram(Visits, N);
 /// \endcode
-inline void obsCounter(const MetricId &Id, uint64_t Delta = 1) {
-  if (MetricsRegistry *R = currentMetrics())
-    R->addCounter(Id, Delta);
-}
 inline void obsHistogram(const MetricId &Id, uint64_t V) {
   if (MetricsRegistry *R = currentMetrics())
     R->recordValue(Id, V);

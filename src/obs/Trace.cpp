@@ -21,10 +21,8 @@ TraceSink *exchangeThreadTraceSink(TraceSink *S) noexcept {
   return Prev;
 }
 
-#ifndef LNA_OBS_DISABLE_TRACING
 TraceScope::TraceScope(TraceSink &S) : Prev(CurSink) { CurSink = &S; }
 TraceScope::~TraceScope() { CurSink = Prev; }
-#endif
 
 double traceClockMicrosPerTick() {
 #if defined(__x86_64__)
@@ -64,18 +62,6 @@ void TraceSink::reset(size_t Capacity) {
   Total = 0;
   Depth = 0;
   EpochTicks = traceClockTicks();
-}
-
-uint64_t TraceSink::spansSince(uint64_t FromTotal,
-                               std::vector<SpanRecord> &Out) const {
-  uint64_t Oldest = Total > Ring.size() ? Total - Ring.size() : 0;
-  if (FromTotal < Oldest)
-    FromTotal = Oldest;
-  for (uint64_t I = FromTotal; I < Total; ++I) {
-    const Event &E = Ring[static_cast<size_t>(I % Ring.size())];
-    Out.push_back({E.Name, E.Start, E.Dur, E.Depth});
-  }
-  return Total;
 }
 
 std::string TraceSink::renderChromeJSON() const {

@@ -21,9 +21,7 @@
 ///    BudgetScope -- sessions do not own tracing state, callers opt in;
 ///  * Span's constructor is a thread-local load and a branch when no
 ///    sink is installed: no clock reads, no allocation, nothing -- hot
-///    paths can be instrumented unconditionally;
-///  * defining LNA_OBS_DISABLE_TRACING compiles Span and TraceScope down
-///    to empty types for builds that must not carry even the branch.
+///    paths can be instrumented unconditionally.
 ///
 /// The ring buffer bounds memory for arbitrarily long analyses: when it
 /// fills, the oldest spans are overwritten and counted as dropped (the
@@ -120,12 +118,6 @@ public:
   /// All spans ever recorded (held + dropped).
   uint64_t numTotal() const { return Total; }
 
-  /// Appends the spans recorded after absolute span index \p FromTotal
-  /// (oldest first; spans the ring has already overwritten are skipped)
-  /// to \p Out and returns numTotal() -- feed that back as the next
-  /// FromTotal to consume the span stream incrementally.
-  uint64_t spansSince(uint64_t FromTotal, std::vector<SpanRecord> &Out) const;
-
   /// Absolute index of the oldest span still in the ring.
   uint64_t oldestIndex() const { return Total - numRecorded(); }
 
@@ -176,8 +168,6 @@ TraceSink *currentTraceSink() noexcept;
 /// own the sink being displaced.
 TraceSink *exchangeThreadTraceSink(TraceSink *S) noexcept;
 
-#ifndef LNA_OBS_DISABLE_TRACING
-
 /// Installs a sink as the thread's current one for the scope's lifetime
 /// (saving and restoring any enclosing sink).
 class TraceScope {
@@ -221,22 +211,6 @@ private:
   uint64_t Start = 0;
   uint32_t Depth = 0;
 };
-
-#else // LNA_OBS_DISABLE_TRACING
-
-class TraceScope {
-public:
-  explicit TraceScope(TraceSink &) {}
-};
-
-class Span {
-public:
-  explicit Span(const char *) {}
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
-};
-
-#endif // LNA_OBS_DISABLE_TRACING
 
 } // namespace lna
 

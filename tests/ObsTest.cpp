@@ -27,6 +27,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
@@ -186,17 +187,19 @@ TEST(MetricsRegistry, ScopeRoutesRecordingAndRestores) {
   MetricsRegistry Outer, Inner;
   {
     MetricsScope SO(Outer);
-    obsCounter("c");
+    obsHistogram("c", 1);
     {
       MetricsScope SI(Inner);
-      obsCounter("c");
+      obsHistogram("c", 1);
       obsHistogram("h", 42);
     }
-    obsCounter("c");
+    obsHistogram("c", 1);
   }
   EXPECT_EQ(currentMetrics(), nullptr);
-  EXPECT_EQ(Outer.counter("c"), 2u);
-  EXPECT_EQ(Inner.counter("c"), 1u);
+  ASSERT_NE(Outer.findHistogram("c"), nullptr);
+  ASSERT_NE(Inner.findHistogram("c"), nullptr);
+  EXPECT_EQ(Outer.findHistogram("c")->count(), 2u);
+  EXPECT_EQ(Inner.findHistogram("c")->count(), 1u);
   EXPECT_EQ(Outer.findHistogram("h"), nullptr);
   ASSERT_NE(Inner.findHistogram("h"), nullptr);
   EXPECT_EQ(Inner.findHistogram("h")->max(), 42u);
@@ -216,10 +219,11 @@ TEST(MetricsRegistry, RenderJSONEscapesNames) {
 TEST(ObsDisabled, NoSinkMeansNoAllocation) {
   ASSERT_EQ(currentTraceSink(), nullptr);
   ASSERT_EQ(currentMetrics(), nullptr);
+  static const MetricId Noop = metricId("noop");
   uint64_t Before = GAllocs.load(std::memory_order_relaxed);
   for (int I = 0; I < 1000; ++I) {
     Span Sp("noop");
-    obsCounter("noop");
+    obsHistogram(Noop, static_cast<uint64_t>(I));
     obsHistogram("noop", static_cast<uint64_t>(I));
   }
   EXPECT_EQ(GAllocs.load(std::memory_order_relaxed), Before);
@@ -580,29 +584,46 @@ TEST(JsonEscape, SessionStatsDumpEscapesNames) {
 // Incremental span drain (the flight recorder's read primitive).
 //===----------------------------------------------------------------------===//
 
-TEST(TraceSpansSince, DrainsIncrementallyAndSkipsOverwritten) {
+namespace {
+
+/// The flight recorder's drain loop: the spans after absolute index
+/// \p Cursor that the ring still holds, oldest first; advances Cursor.
+std::vector<SpanRecord> drainSince(const TraceSink &Sink, uint64_t &Cursor) {
+  std::vector<SpanRecord> Out;
+  for (uint64_t I = std::max(Cursor, Sink.oldestIndex()); I < Sink.numTotal();
+       ++I)
+    Out.push_back(Sink.spanAt(I));
+  Cursor = Sink.numTotal();
+  return Out;
+}
+
+} // namespace
+
+TEST(TraceSink, SpanAtDrainsIncrementallyAndSkipsOverwritten) {
   TraceSink Sink(4);
   Sink.record("a", 10, 1, 0);
   Sink.record("b", 20, 2, 1);
   Sink.record("c", 30, 3, 0);
-  std::vector<SpanRecord> Out;
-  uint64_t Cursor = Sink.spansSince(0, Out);
+  uint64_t Cursor = 0;
+  std::vector<SpanRecord> Out = drainSince(Sink, Cursor);
   ASSERT_EQ(Out.size(), 3u);
   EXPECT_EQ(Cursor, 3u);
+  EXPECT_EQ(Sink.oldestIndex(), 0u);
   EXPECT_STREQ(Out[0].Name, "a");
+  EXPECT_EQ(Out[1].Depth, 1u);
   EXPECT_STREQ(Out[2].Name, "c");
 
   // Nothing new: no growth, cursor unchanged.
-  Out.clear();
-  EXPECT_EQ(Sink.spansSince(Cursor, Out), 3u);
-  EXPECT_TRUE(Out.empty());
+  EXPECT_TRUE(drainSince(Sink, Cursor).empty());
+  EXPECT_EQ(Cursor, 3u);
 
   // Overflow the 4-slot ring: the drain resumes at the oldest span the
   // ring still holds, never re-reading or fabricating overwritten ones.
   for (int I = 0; I < 6; ++I)
     Sink.record("x", 100 + I, 1, 0);
-  Out.clear();
-  EXPECT_EQ(Sink.spansSince(Cursor, Out), 9u);
+  EXPECT_EQ(Sink.oldestIndex(), 5u);
+  Out = drainSince(Sink, Cursor);
+  EXPECT_EQ(Cursor, 9u);
   ASSERT_EQ(Out.size(), 4u);
   EXPECT_EQ(Out.front().Start, 102u);
   EXPECT_EQ(Out.back().Start, 105u);
@@ -703,6 +724,55 @@ TEST(FlightRecorder, BeginModuleResetsTheRecording) {
   EXPECT_EQ(R.Module, "mod_new");
   ASSERT_EQ(R.Spans.size(), 1u);
   EXPECT_EQ(R.Spans[0].Name, "fresh");
+  std::filesystem::remove(Path);
+}
+
+TEST(FlightRecorder, SiteSlotKeepsLastSiteAcrossEmptyFramesAndOverflow) {
+  std::string Path = tempPath("lna_flight_site.blackbox");
+  FlightRecorder Rec;
+  ASSERT_TRUE(Rec.open(Path));
+  Rec.beginModule("mod_site");
+  EXPECT_EQ(loadFlightRecording(Path).Site, "");
+
+  // A boundary with no span closed since the last flush writes no
+  // frame, but the site is still recorded.
+  TraceSink Sink(1 << 12);
+  Rec.flush(Sink);
+  Rec.noteSite("corpus:module");
+  FlightRecording R = loadFlightRecording(Path);
+  ASSERT_TRUE(R.Valid);
+  EXPECT_EQ(R.Site, "corpus:module");
+  EXPECT_TRUE(R.Spans.empty());
+
+  Sink.record("parse", 1, 1, 0);
+  Rec.flush(Sink);
+  Rec.noteSite("typing");
+
+  // Overflow the mapping (~200 KB of spans in one frame): that frame and
+  // every later one are dropped, but the slot keeps moving.
+  for (int I = 0; I < 4000; ++I)
+    Sink.record("a-span-name-long-enough-to-fill-the-box", 1, 1, 0);
+  Rec.flush(Sink);
+  Rec.noteSite("check-sat");
+  Sink.record("late", 2, 2, 0);
+  Rec.flush(Sink);
+  Rec.noteSite("inference");
+  R = loadFlightRecording(Path);
+  ASSERT_TRUE(R.Valid);
+  EXPECT_EQ(R.Module, "mod_site");
+  EXPECT_EQ(R.Site, "inference");
+  ASSERT_EQ(R.Spans.size(), 1u);
+  EXPECT_EQ(R.Spans[0].Name, "parse");
+
+  // A shorter site fully replaces a longer one; a new module starts
+  // with an empty slot.
+  Rec.noteSite("x");
+  EXPECT_EQ(loadFlightRecording(Path).Site, "x");
+  Rec.beginModule("mod_next");
+  R = loadFlightRecording(Path);
+  EXPECT_EQ(R.Module, "mod_next");
+  EXPECT_EQ(R.Site, "");
+  Rec.close();
   std::filesystem::remove(Path);
 }
 

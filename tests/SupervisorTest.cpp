@@ -23,6 +23,7 @@
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
@@ -338,7 +339,9 @@ TEST(SupervisorTest, PoisonModuleIsQuarantinedWithForensics) {
   // as a Crashed row after exactly MaxModuleCrashes attempts.
   const uint32_t N = 3;
   std::vector<ModuleSpec> Corpus = corpusSlice(N);
+  std::vector<ModuleOutcome> Captured;
   ExperimentOptions Opts;
+  Opts.CaptureOutcomes = &Captured;
   SupervisorOptions Sup;
   Sup.Workers = 2;
   Sup.MaxModuleCrashes = 2;
@@ -358,7 +361,16 @@ TEST(SupervisorTest, PoisonModuleIsQuarantinedWithForensics) {
     EXPECT_NE(M.Error.find("signal 9"), std::string::npos) << M.Error;
     EXPECT_NE(M.Error.find("quarantined after 2/2"), std::string::npos)
         << M.Error;
+    // The kill fires at the very first site, before any span closes:
+    // the phase comes from the black box's site slot alone.
+    EXPECT_NE(M.Error.find("in phase 'corpus:module'"), std::string::npos)
+        << M.Error;
+    EXPECT_EQ(M.Error.find("flight recorder ("), std::string::npos)
+        << M.Error;
   }
+  ASSERT_EQ(Captured.size(), N);
+  for (const ModuleOutcome &O : Captured)
+    EXPECT_EQ(O.R.FailedPhase, "corpus:module");
 }
 
 TEST(SupervisorTest, InjectedKillsRecoverToIdenticalReport) {
@@ -493,20 +505,18 @@ TEST(SupervisorObs, ChaosJournalCoversEveryDeathRestartAndQuarantine) {
 
 TEST(SupervisorObs, QuarantineForensicsContainRecoveredFlightSpans) {
   // A worker SIGKILLed mid-module leaves its black box behind; the
-  // quarantine row must surface the recovered span tail. kill=300000
-  // with this seed kills several modules *after* at least one phase
-  // span closed (a kill at the very first fault site leaves an empty
-  // recording, which is correctly omitted).
+  // quarantine row must name the phase and surface the recovered span
+  // tail. kill=300000 with this seed kills several modules *after* at
+  // least one phase span closed (a kill at the very first fault site
+  // leaves no spans, and the tail is correctly omitted). The supervisor
+  // keeps the black boxes on its own: no directory is configured.
   const uint32_t N = 12;
   std::vector<ModuleSpec> Corpus = corpusSlice(N);
-  std::string FlightDir = scratchPath("flightdir");
-  std::filesystem::create_directories(FlightDir);
 
   ExperimentOptions Opts;
   SupervisorOptions Sup;
   Sup.Workers = 2;
   Sup.MaxModuleCrashes = 1;
-  Sup.FlightDir = FlightDir;
   Sup.WorkerArgv = workerArgv(N, "--inject-faults=seed=7,kill=300000");
   SupervisedResult Res = runSupervisedExperiment(Corpus, Opts, Sup);
   ASSERT_TRUE(Res.Ok) << Res.Error;
@@ -520,6 +530,11 @@ TEST(SupervisorObs, QuarantineForensicsContainRecoveredFlightSpans) {
     // verdict, never replaces it.
     EXPECT_NE(M.Error.find("quarantined after"), std::string::npos)
         << M.Error;
+    // Injected kills fire only at phase boundaries, after the black box
+    // noted the site: every row names a phase.
+    size_t At = M.Error.find(" in phase '");
+    ASSERT_NE(At, std::string::npos) << M.Error;
+    EXPECT_NE(M.Error[At + 11], '\'') << M.Error;
     if (M.Error.find("flight recorder (") != std::string::npos) {
       ++WithFlight;
       EXPECT_NE(M.Error.find("recovered span"), std::string::npos) << M.Error;
@@ -527,7 +542,50 @@ TEST(SupervisorObs, QuarantineForensicsContainRecoveredFlightSpans) {
     }
   }
   EXPECT_GE(WithFlight, 1u);
-  std::filesystem::remove_all(FlightDir);
+}
+
+TEST(SupervisorObs, BlackBoxDirectoryIsRemovedOnEveryExit) {
+  // The supervisor creates its black-box directory under $TMPDIR and
+  // must remove it both after a normal run and on the early return of
+  // a worker that cannot exec.
+  std::string Tmp =
+      std::filesystem::absolute(scratchPath("tmpdir")).string();
+  std::filesystem::remove_all(Tmp);
+  std::filesystem::create_directories(Tmp);
+  const char *Old = std::getenv("TMPDIR");
+  std::string Saved = Old ? Old : "";
+  ::setenv("TMPDIR", Tmp.c_str(), 1);
+  auto Leftovers = [&Tmp] {
+    size_t N = 0;
+    for (const auto &E : std::filesystem::directory_iterator(Tmp))
+      if (E.path().filename().string().rfind("lna-flight-", 0) == 0)
+        ++N;
+    return N;
+  };
+
+  const uint32_t N = 4;
+  std::vector<ModuleSpec> Corpus = corpusSlice(N);
+  ExperimentOptions Opts;
+  SupervisorOptions Sup;
+  Sup.Workers = 2;
+  Sup.WorkerArgv = workerArgv(N);
+  SupervisedResult Res = runSupervisedExperiment(Corpus, Opts, Sup);
+  EXPECT_TRUE(Res.Ok) << Res.Error;
+  EXPECT_EQ(Leftovers(), 0u);
+
+  Sup.Workers = 1;
+  Sup.WorkerArgv = {"/nonexistent/lna-corpus", "--worker"};
+  Res = runSupervisedExperiment(Corpus, Opts, Sup);
+  EXPECT_FALSE(Res.Ok);
+  EXPECT_NE(Res.Error.find("failed to start"), std::string::npos)
+      << Res.Error;
+  EXPECT_EQ(Leftovers(), 0u);
+
+  if (Old)
+    ::setenv("TMPDIR", Saved.c_str(), 1);
+  else
+    ::unsetenv("TMPDIR");
+  std::filesystem::remove_all(Tmp);
 }
 
 TEST(SupervisorObs, FleetTraceMergesWorkerLanesAndReportIsUnchanged) {

@@ -51,9 +51,12 @@
 //                      rate, ETA, per-worker state, retry/crash/cache
 //                      counters), repainted at most every MS ms
 //                      (default 250)
-//   --flight-file=FILE internal (requires --worker): persist the span
-//                      ring tail to FILE at every phase boundary so the
-//                      supervisor can recover it after a crash
+//   --flight-file=FILE internal (requires --worker): persist the phase-
+//                      boundary site and the span ring tail to FILE at
+//                      every phase boundary; the supervisor assigns one
+//                      file per worker slot in a private directory under
+//                      $TMPDIR, reads it after a crash to name the phase
+//                      the worker died in, and removes it at the end
 //
 // Under --workers, --trace-dir additionally writes DIR/fleet.trace.json:
 // every per-module trace merged with supervisor lifecycle spans into one
@@ -112,7 +115,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <numeric>
 #include <sstream>
@@ -759,31 +761,7 @@ int main(int Argc, char **Argv) {
     Sup.WorkerTimeoutMs = Cli.WorkerTimeoutMs;
     if (!Cli.TraceDir.empty())
       Sup.FleetTracePath = Cli.TraceDir + "/fleet.trace.json";
-    // Each worker slot gets a black-box file in a private temp dir. The
-    // files live only as long as the run: a crashed worker's recording
-    // is folded into the quarantine forensics, not preserved on disk.
-    // mkdtemp failure just means no flight recovery -- observability
-    // must never fail the analysis.
-    {
-      const char *Tmp = std::getenv("TMPDIR");
-      std::string Template =
-          std::string(Tmp && *Tmp ? Tmp : "/tmp") + "/lna-flight-XXXXXX";
-      std::vector<char> Buf(Template.begin(), Template.end());
-      Buf.push_back('\0');
-      if (mkdtemp(Buf.data()))
-        Sup.FlightDir = Buf.data();
-      else
-        std::fprintf(stderr, "lna-corpus: warning: cannot create flight "
-                             "recorder directory (black boxes disabled)\n");
-    }
     SupervisedResult Res = runSupervisedExperiment(Corpus, Opts, Sup);
-    if (!Sup.FlightDir.empty()) {
-      for (unsigned I = 0; I < Cli.Workers; ++I)
-        ::unlink((Sup.FlightDir + "/worker-" + std::to_string(I) +
-                  ".blackbox")
-                     .c_str());
-      ::rmdir(Sup.FlightDir.c_str());
-    }
     Progress.finish();
     std::fprintf(stderr,
                  "lna-corpus: supervisor: %u worker crash(es), %u "

@@ -48,7 +48,10 @@
 #     single-process run (worker deaths absorbed by restart+re-queue,
 #     zero quarantines at this kill rate, observability byte-invisible).
 #     The event journal is validated line by line as JSON with monotonic
-#     timestamps and the merged fleet trace as one JSON document.
+#     timestamps (and every worker death that names a module must name
+#     the phase its black box recorded), the merged fleet trace as one
+#     JSON document, and the run, given a private TMPDIR, must leave no
+#     lna-flight-* black-box directory behind.
 #  9. Serve stage: the `serve`-labeled suite under asan-ubsan (wire
 #     protocol parsing of untrusted client bytes, the hot store, the
 #     request-boundary obs scrub, concurrent clients), then a live
@@ -187,16 +190,21 @@ ctest --test-dir build-asan-ubsan --output-on-failure -L supervisor
 
 echo "== asan-ubsan: full-corpus chaos audit (workers + kills + observability) =="
 CHAOS_TRACE_DIR=build-asan-ubsan/chaos_traces
-rm -rf "$CHAOS_TRACE_DIR"
-mkdir -p "$CHAOS_TRACE_DIR"
+CHAOS_TMP=build-asan-ubsan/chaos_tmp
+rm -rf "$CHAOS_TRACE_DIR" "$CHAOS_TMP"
+mkdir -p "$CHAOS_TRACE_DIR" "$CHAOS_TMP"
 ./build-asan-ubsan/tools/lna-corpus 2> /dev/null \
   | grep -v wall-clock > build-asan-ubsan/chaos_base.txt
-./build-asan-ubsan/tools/lna-corpus --workers=4 \
+TMPDIR="$PWD/$CHAOS_TMP" ./build-asan-ubsan/tools/lna-corpus --workers=4 \
   --inject-faults=seed=1,kill=2000 \
   --events-out=build-asan-ubsan/chaos_events.jsonl \
   --trace-dir="$CHAOS_TRACE_DIR" --progress=200 2> /dev/null \
   | grep -v wall-clock > build-asan-ubsan/chaos_killed.txt
 cmp build-asan-ubsan/chaos_base.txt build-asan-ubsan/chaos_killed.txt
+if ls "$CHAOS_TMP" | grep -q '^lna-flight-'; then
+  echo "chaos run left a black-box directory in $CHAOS_TMP" >&2
+  exit 1
+fi
 
 if command -v python3 > /dev/null 2>&1; then
   echo "== asan-ubsan: chaos event journal + fleet trace validation =="
@@ -212,6 +220,9 @@ spawns = sum(e["event"] == "worker-spawn" for e in events)
 deaths = sum(e["event"] == "worker-death" for e in events)
 assert spawns >= 4, f"expected at least the 4 initial spawns, got {spawns}"
 assert spawns >= deaths, f"more deaths ({deaths}) than spawns ({spawns})"
+for e in events:
+    if e["event"] == "worker-death" and "module" in e:
+        assert e.get("phase"), f"worker death without a phase: {e}"
 PY
   python3 -m json.tool "$CHAOS_TRACE_DIR/fleet.trace.json" > /dev/null
 fi
