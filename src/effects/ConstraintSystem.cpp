@@ -14,17 +14,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 using namespace lna;
-
-ConstraintSystem::ConstraintSystem(LocTable &Locs) : Locs(Locs) {
-  // The pre-optimization solver (no SCC collapse, no CHECK-SAT indexes)
-  // stays reachable for byte-identity diffs and bench_solver's
-  // before/after comparison.
-  const char *E = std::getenv("LNA_SOLVER_BASELINE");
-  Baseline = E && *E && *E != '0';
-}
 
 EffVar ConstraintSystem::makeVar() {
   Vars.emplace_back();
@@ -70,6 +61,8 @@ void ConstraintSystem::addIntersection(InterOperand A, InterOperand B,
   };
   Register(Inters[Idx].A, 0);
   Register(Inters[Idx].B, 1);
+  if (A.K == InterOperand::Kind::Elem || B.K == InterOperand::Kind::Elem)
+    ElemInters.push_back(Idx);
   Cond.Valid = false;
 }
 
@@ -111,37 +104,27 @@ void ConstraintSystem::rebuildCondensation() const {
   Span Sp("solver-condense");
   const uint32_t NumVars = static_cast<uint32_t>(Vars.size());
 
-  // Map variables to components. Baseline mode keeps the identity
-  // mapping; otherwise Tarjan over the plain-edge graph (intersections
-  // are not collapsed: a cycle through an I node does not imply solution
-  // equality).
-  std::vector<uint32_t> NewComp;
-  uint32_t NumComps;
-  if (Baseline) {
-    NewComp.resize(NumVars);
-    for (uint32_t V = 0; V < NumVars; ++V)
-      NewComp[V] = V;
-    NumComps = NumVars;
-  } else {
-    // Build the variable-level CSR in place: sources are visited in CSR
-    // order, so targets fill strictly sequentially -- no edge-pair list
-    // and no fill-cursor array. (The per-source target order matches the
-    // pair-list construction exactly, so iteration order -- and with it
-    // every order-sensitive metric -- is unchanged.)
-    Adjacency VAdj;
-    VAdj.Start.assign(NumVars + 1, 0);
-    for (uint32_t V = 0; V < NumVars; ++V)
-      VAdj.Start[V + 1] =
-          VAdj.Start[V] + static_cast<uint32_t>(Vars[V].OutEdges.size());
-    VAdj.Targets.resize(VAdj.Start[NumVars]);
-    uint32_t Pos = 0;
-    for (uint32_t V = 0; V < NumVars; ++V)
-      for (EffVar W : Vars[V].OutEdges)
-        VAdj.Targets[Pos++] = W;
-    TarjanSCC SCC(VAdj, NumVars);
-    NewComp = std::move(SCC.Comp);
-    NumComps = SCC.NumComps;
-  }
+  // Map variables to components: Tarjan over the plain-edge graph
+  // (intersections are not collapsed: a cycle through an I node does not
+  // imply solution equality). The variable-level CSR is built in place:
+  // sources are visited in CSR order, so targets fill strictly
+  // sequentially -- no edge-pair list and no fill-cursor array. (The
+  // per-source target order matches the pair-list construction exactly,
+  // so iteration order -- and with it every order-sensitive metric -- is
+  // unchanged.)
+  Adjacency VAdj;
+  VAdj.Start.assign(NumVars + 1, 0);
+  for (uint32_t V = 0; V < NumVars; ++V)
+    VAdj.Start[V + 1] =
+        VAdj.Start[V] + static_cast<uint32_t>(Vars[V].OutEdges.size());
+  VAdj.Targets.resize(VAdj.Start[NumVars]);
+  uint32_t Pos = 0;
+  for (uint32_t V = 0; V < NumVars; ++V)
+    for (EffVar W : Vars[V].OutEdges)
+      VAdj.Targets[Pos++] = W;
+  TarjanSCC SCC(VAdj, NumVars);
+  std::vector<uint32_t> NewComp = std::move(SCC.Comp);
+  const uint32_t NumComps = SCC.NumComps;
 
   // Component-level CSR adjacency: plain edges with intra-component
   // edges dropped, and the (intersection, side) feed lists. CSR packing
@@ -274,78 +257,17 @@ bool ConstraintSystem::reaches(EffectKind K, LocId Rho, EffVar Target) const {
   uint64_t VisitedBefore = Stats.CheckSatVisited;
   uint32_t C = EffectElem(K, Locs.find(Rho)).bits();
 
-  bool Found;
-  if (Baseline) {
-    Found = reachesBaseline(C, Target);
-  } else {
-    ensureCondensed();
-    ensureCheckSatIndex();
-    Found = reachesCollapsed(C, Target);
-  }
+  ensureCondensed();
+  ensureCheckSatIndex();
+  bool Found = reachesCollapsed(C, Target);
   static const MetricId VisitsMetric = metricId("checksat-visits");
   obsHistogram(VisitsMetric, Stats.CheckSatVisited - VisitedBefore);
   return Found;
 }
 
-/// The pre-optimization query: per-query visited/side-mask allocation,
-/// full scans of the intersection and seed storage, var-granularity DFS.
-bool ConstraintSystem::reachesBaseline(uint32_t C, EffVar Target) const {
-  std::vector<uint8_t> VisitedVar(Vars.size(), 0);
-  // Two-bit mask per intersection: which sides the element has reached.
-  std::vector<uint8_t> SideMask(Inters.size(), 0);
-  std::vector<EffVar> Work;
-
-  bool Found = false;
-  auto Visit = [&](EffVar V) {
-    if (VisitedVar[V])
-      return;
-    VisitedVar[V] = 1;
-    ++Stats.CheckSatVisited;
-    if (V == Target)
-      Found = true;
-    Work.push_back(V);
-  };
-
-  // Fold the constant (element) operands of intersections into the masks.
-  for (uint32_t I = 0; I < Inters.size(); ++I) {
-    const InterNode &N = Inters[I];
-    if (N.A.K == InterOperand::Kind::Elem && canon(N.A.Value) == C)
-      SideMask[I] |= 1;
-    if (N.B.K == InterOperand::Kind::Elem && canon(N.B.Value) == C)
-      SideMask[I] |= 2;
-    if (SideMask[I] == 3)
-      Visit(N.Out);
-  }
-  if (Found)
-    return true;
-
-  // Sources: every variable whose seed set contains the element.
-  for (EffVar V = 0; V < Vars.size(); ++V) {
-    for (uint32_t S : Vars[V].Seeds)
-      if (canon(S) == C) {
-        Visit(V);
-        break;
-      }
-  }
-
-  while (!Work.empty() && !Found) {
-    budgetStep();
-    EffVar V = Work.back();
-    Work.pop_back();
-    for (EffVar W : Vars[V].OutEdges)
-      Visit(W);
-    for (auto [I, Side] : Vars[V].OutInters) {
-      SideMask[I] |= (1u << Side);
-      if (SideMask[I] == 3)
-        Visit(Inters[I].Out);
-    }
-  }
-  return Found;
-}
-
-/// The optimized query: component-granularity DFS over the CSR
-/// condensation, sources pulled from the seed/element-operand indexes,
-/// epoch-stamped scratch instead of per-query allocation and clearing.
+/// Component-granularity DFS over the CSR condensation, sources pulled
+/// from the seed/element-operand indexes, epoch-stamped scratch instead
+/// of per-query allocation and clearing.
 bool ConstraintSystem::reachesCollapsed(uint32_t C, EffVar Target) const {
   if (++Cond.Epoch == 0) {
     // Epoch wrap: invalidate all stamps once, then restart at 1.
@@ -466,8 +388,11 @@ void ConstraintSystem::recanonicalize() {
   ensureCondensed();
   // Rebuild solution sets with canonical elements. Only components whose
   // set actually changed (an element mentioned a just-unified location)
-  // need re-pushing: intersections with unchanged inputs cannot produce
-  // new outputs, and edges propagate set contents, which are unchanged.
+  // need re-pushing: edges propagate set contents, which are unchanged,
+  // and an intersection between unchanged sets cannot produce new
+  // outputs. An element operand is not a set, though -- its canonical
+  // element moves with the unify -- so recheckElemIntersections covers
+  // those intersections.
   Worklist.clear();
   for (uint32_t C = 0; C < Cond.NumComps; ++C) {
     if (!Cond.InScope[C])
@@ -497,6 +422,21 @@ void ConstraintSystem::recanonicalize() {
       Cond.Pending[C].push_back(E);
     Cond.Dirty[C] = 1;
     Worklist.push_back(C);
+  }
+}
+
+void ConstraintSystem::recheckElemIntersections() {
+  ensureCondensed();
+  // The other operand needs checking only against the element operand's
+  // current canonical element; everything else that arrives later flows
+  // through propagate(). Covers constant (element n element)
+  // intersections too.
+  for (uint32_t I : ElemInters) {
+    const InterNode &N = Inters[I];
+    const bool AIsElem = N.A.K == InterOperand::Kind::Elem;
+    uint32_t E = canon(AIsElem ? N.A.Value : N.B.Value);
+    if (operandContains(AIsElem ? N.B : N.A, E))
+      insertElemComp(Cond.Comp[N.Out], E);
   }
 }
 
@@ -642,14 +582,11 @@ void ConstraintSystem::solve(const std::vector<EffVar> &QueryVars) {
   for (EffVar V = 0; V < Vars.size(); ++V)
     for (uint32_t S : Vars[V].Seeds)
       insertElem(V, canon(S));
-  // Constant intersections (both operands elements).
-  for (const InterNode &N : Inters)
-    if (N.A.K == InterOperand::Kind::Elem &&
-        N.B.K == InterOperand::Kind::Elem && canon(N.A.Value) == canon(N.B.Value))
-      insertElem(N.Out, canon(N.A.Value));
+  recheckElemIntersections();
 
   propagate();
   ++Stats.Rounds;
+  uint32_t MergeStamp = Locs.numClassesMerged();
 
   // Fire conditional constraints to a fixpoint. Each fires at most once,
   // bounding the number of rounds.
@@ -675,6 +612,10 @@ void ConstraintSystem::solve(const std::vector<EffVar> &QueryVars) {
     if (!AnyFired)
       break;
     recanonicalize();
+    if (Locs.numClassesMerged() != MergeStamp) {
+      MergeStamp = Locs.numClassesMerged();
+      recheckElemIntersections();
+    }
     propagate();
     ++Stats.Rounds;
   }
@@ -708,8 +649,8 @@ bool ConstraintSystem::memberAnyKindAnyOf(
 
 std::string ConstraintSystem::solutionToString(EffVar V) const {
   // Render in sorted element order: set iteration order is
-  // representation-defined (and differs between the collapsed and
-  // baseline solvers), and debug output should not leak it.
+  // representation-defined (SmallElemSet keeps insertion order inline and
+  // hash order once spilled), and debug output should not leak it.
   std::vector<uint32_t> Elems;
   for (uint32_t E : solution(V))
     Elems.push_back(E);

@@ -45,11 +45,10 @@
 /// solution, so solution sets, the propagation worklist, and CHECK-SAT's
 /// DFS all operate at component granularity. The condensation is built
 /// lazily (and rebuilt when fired conditionals add edges), with the
-/// adjacency packed into CSR arrays for locality. Setting
-/// LNA_SOLVER_BASELINE=1 in the environment disables the collapse and
-/// the CHECK-SAT source indexes (identity components, per-query full
-/// scans) -- the pre-optimization algorithm, kept for byte-identity
-/// diffs and the bench_solver before/after comparison.
+/// adjacency packed into CSR arrays for locality. The one uncollapsed
+/// traversal is explainReach, which walks the raw per-variable graph for
+/// --explain witnesses and doubles as the reference the solver tests
+/// and benchmarks compare reaches() and member() against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -173,7 +172,7 @@ struct SolverStats {
 /// The normal-form effect constraint graph and its solvers.
 class ConstraintSystem {
 public:
-  explicit ConstraintSystem(LocTable &Locs);
+  explicit ConstraintSystem(LocTable &Locs) : Locs(Locs) {}
 
   LocTable &locs() { return Locs; }
 
@@ -262,11 +261,13 @@ public:
   /// Reconstructs how X(rho) reaches sol(Target): a breadth-first replay
   /// of the reachability search recording parent pointers, rendered as
   /// the chain of constraint origins from the edge into \p Target down
-  /// to the seeding access. Empty if unreachable (or if origin tracking
-  /// was off, in which case steps carry no locations). Covers
-  /// constraints added by fired conditionals, since firing physically
-  /// adds them to the graph. Runs on the *uncollapsed* graph so the
-  /// witness chain matches the program's constraints one-to-one.
+  /// to the seeding access. Non-empty exactly when the element reaches
+  /// \p Target, whether or not origins are tracked (untracked steps
+  /// carry no locations, only generic notes). Covers constraints added
+  /// by fired conditionals, since firing physically adds them to the
+  /// graph. Runs on the *uncollapsed* graph so the witness chain matches
+  /// the program's constraints one-to-one; that also makes it the
+  /// independent reference for the collapsed reaches() and member().
   std::vector<ExplainStep> explainReach(EffectKind K, LocId Rho,
                                         EffVar Target) const;
   /// explainReach for the first of read/write/alloc that reaches.
@@ -355,13 +356,13 @@ private:
   void ensureCondensed() const;
   void rebuildCondensation() const;
   void ensureCheckSatIndex() const;
-  bool reachesBaseline(uint32_t CanonElem, EffVar Target) const;
   bool reachesCollapsed(uint32_t CanonElem, EffVar Target) const;
 
   void insertElem(EffVar V, uint32_t ElemBits);
   void insertElemComp(uint32_t C, uint32_t ElemBits);
   void propagate();
   void recanonicalize();
+  void recheckElemIntersections();
   bool evalPremise(const CondConstraint &C) const;
   void applyAction(const CondAction &A);
   void computeScope(const std::vector<EffVar> &QueryVars);
@@ -370,12 +371,15 @@ private:
   std::vector<VarNode> Vars;
   std::vector<InterNode> Inters;
   std::vector<CondConstraint> Conds;
+  /// Intersections with an element operand: their canonical element
+  /// changes when its location is unified, so they are re-checked after
+  /// every round that merged location classes.
+  std::vector<uint32_t> ElemInters;
   mutable std::vector<uint32_t> Worklist; ///< dirty components
   uint32_t NumEdges = 0;
   uint64_t NumSeeds = 0;
   mutable SolverStats Stats;
   mutable Condensation Cond;
-  bool Baseline = false; ///< LNA_SOLVER_BASELINE=1: no collapse, no index
   bool TrackOrigins = false;
   Origin CurOrigin{};
 };

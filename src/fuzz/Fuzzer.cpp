@@ -163,6 +163,8 @@ FuzzReport lna::runFuzz(const FuzzOptions &Opts) {
     for (OracleKind K : Kinds) {
       std::string Name = oracleName(K);
       OracleOutcome O = runOracle(K, Source, Opts.Backend);
+      for (const std::string &C : O.Counters)
+        Fz().add(Name + "." + C, 1);
       if (!O.Applicable) {
         Fz().add(Name + ".vacuous", 1);
         continue;

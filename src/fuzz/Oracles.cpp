@@ -252,31 +252,18 @@ OracleOutcome checkSoundness(std::string_view Source,
 }
 
 //===----------------------------------------------------------------------===//
-// Oracle 2: solver agreement (CHECK-SAT vs. least solution)
+// Oracle 2: solver agreement (least solution vs CHECK-SAT vs raw graph)
 //===----------------------------------------------------------------------===//
 
-OracleOutcome checkSolverAgreement(std::string_view Source,
-                                   AliasBackendKind Backend) {
-  OracleOutcome Out;
-  PipelineOptions Opts;
-  Opts.Mode = PipelineMode::CheckAnnotations;
-  Opts.AliasBackend = Backend;
-  AnalysisSession S(Opts);
-  if (!S.run(Source))
-    return Out;
-  const PipelineResult &R = S.result();
+/// explainReach allocates per call (visited/parent/side-mask arrays over
+/// the whole raw graph), so only every ExplainStride-th query is also
+/// checked against it.
+constexpr size_t ExplainStride = 31;
 
+/// Compares the three answers for one solved session's final graph;
+/// returns a description of the first disagreement, or "".
+std::string solverDisagreement(const PipelineResult &R) {
   ConstraintSystem &CS = R.State->CS;
-  // CHECK-SAT answers reachability over the *unconditional* constraints;
-  // it agrees with the propagated solution only when no conditional can
-  // fire. Checking-mode graphs satisfy that (conditionals are generated
-  // by inference and by liberal-effect explicit annotations only), but
-  // guard anyway so a pipeline change cannot silently invalidate the
-  // oracle.
-  if (!CS.conditionals().empty())
-    return Out;
-  Out.Applicable = true;
-
   // Query sample: every (loc, var) pair the checker itself queries, plus
   // a strided sweep over the whole (loc, var, kind) space.
   struct Query {
@@ -301,22 +288,57 @@ OracleOutcome checkSolverAgreement(std::string_view Source,
       for (unsigned K = 0; K < 3; ++K)
         Queries.push_back({static_cast<EffectKind>(K), L, V});
 
-  // CHECK-SAT first (it is const); then propagate once and compare.
-  std::vector<bool> Reaches(Queries.size());
-  for (size_t I = 0; I < Queries.size(); ++I)
-    Reaches[I] = CS.reaches(Queries[I].K, Queries[I].Rho, Queries[I].V);
-  CS.solve();
+  auto Says = [](bool B, const char *Yes, const char *No) {
+    return std::string(B ? Yes : No);
+  };
   for (size_t I = 0; I < Queries.size(); ++I) {
-    bool Member = CS.member(Queries[I].K, Queries[I].Rho, Queries[I].V);
-    if (Member != Reaches[I]) {
+    const Query &Q = Queries[I];
+    bool Member = CS.member(Q.K, Q.Rho, Q.V);
+    bool Reaches = CS.reaches(Q.K, Q.Rho, Q.V);
+    std::string Diff;
+    if (Member != Reaches)
+      Diff = "CHECK-SAT says " + Says(Reaches, "reachable", "unreachable") +
+             " but the least solution says " +
+             Says(Member, "member", "non-member");
+    else if (I % ExplainStride == 0 &&
+             CS.explainReach(Q.K, Q.Rho, Q.V).empty() == Reaches)
+      Diff = "CHECK-SAT and the least solution say " +
+             Says(Reaches, "reachable", "unreachable") +
+             " but the uncollapsed explain traversal says " +
+             Says(!Reaches, "reachable", "unreachable");
+    if (!Diff.empty())
+      return Diff + " for kind " +
+             std::to_string(static_cast<unsigned>(Q.K)) + ", loc " +
+             std::to_string(Q.Rho) + ", var " + std::to_string(Q.V);
+  }
+  return "";
+}
+
+OracleOutcome checkSolverAgreement(std::string_view Source,
+                                   AliasBackendKind Backend) {
+  OracleOutcome Out;
+  for (PipelineMode Mode :
+       {PipelineMode::CheckAnnotations, PipelineMode::Infer}) {
+    PipelineOptions Opts;
+    Opts.Mode = Mode;
+    Opts.AliasBackend = Backend;
+    AnalysisSession S(Opts);
+    if (!S.run(Source))
+      continue;
+    const bool Infer = Mode == PipelineMode::Infer;
+    // Checking answers restricts with CHECK-SAT and solves only when
+    // conditionals or explicit confines need it (solving again at a
+    // fixpoint changes nothing); inference has already solved, firing
+    // conditionals, so its final graph is compared as the session left
+    // it.
+    if (!Infer)
+      S.result().State->CS.solve();
+    Out.Applicable = true;
+    Out.Counters.push_back(Infer ? "infer.checked" : "check.checked");
+    std::string Diff = solverDisagreement(S.result());
+    if (!Diff.empty()) {
       Out.Failed = true;
-      Out.Message = "CHECK-SAT says " +
-                    std::string(Reaches[I] ? "reachable" : "unreachable") +
-                    " but the least solution says " +
-                    (Member ? "member" : "non-member") + " for kind " +
-                    std::to_string(static_cast<unsigned>(Queries[I].K)) +
-                    ", loc " + std::to_string(Queries[I].Rho) + ", var " +
-                    std::to_string(Queries[I].V);
+      Out.Message = (Infer ? "[infer] " : "[check] ") + Diff;
       return Out;
     }
   }

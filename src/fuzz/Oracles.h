@@ -14,11 +14,13 @@
 ///    accepts never evaluates to err under the Section 3.2 operational
 ///    semantics. Checker (src/core) vs. interpreter (src/semantics).
 ///
-///  * Solver agreement: CHECK-SAT's per-query reachability answers
-///    (Figure 5) equal membership in the full propagated least solution
-///    on the same constraint graph. Valid on checking-mode graphs, which
-///    have no conditional constraints (conditionals exist only under
-///    inference and liberal-effect explicit annotations).
+///  * Solver agreement: on the final constraint graph of a checking and
+///    an inference session, membership in the propagated least solution
+///    equals CHECK-SAT's per-query reachability answer (Figure 5), and
+///    on a strided subset of the queries also explainReach's uncollapsed
+///    traversal of the raw graph. Inference graphs include everything
+///    fired conditionals added, so after solving the unconditional
+///    reachability question and the least solution coincide.
 ///
 ///  * Inference maximality (Section 5's optimality): materializing the
 ///    inferred restrict set re-checks cleanly, and adding any single
@@ -55,6 +57,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace lna {
 
@@ -85,6 +88,9 @@ struct OracleOutcome {
   bool Failed = false;
   /// Human-readable description of the divergence (Failed only).
   std::string Message;
+  /// Extra per-program counters the harness records as
+  /// "<oracle>.<counter>" (e.g. which pipeline modes were compared).
+  std::vector<std::string> Counters;
 };
 
 /// Runs one oracle over \p Source with the given may-alias backend (the

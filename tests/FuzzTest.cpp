@@ -84,6 +84,20 @@ TEST(FuzzOracles, CleanProgramPassesAllOracles) {
   }
 }
 
+TEST(FuzzOracles, SolverAgreementComparesCheckingAndInferenceGraphs) {
+  // Inference graphs carry conditional constraints; the oracle compares
+  // their final, post-firing graphs too, and says which modes it ran.
+  const char *Src = "var g : ptr int;\n"
+                    "fun f() : int {\n"
+                    "  let r = g in *r := 1;\n"
+                    "}\n";
+  OracleOutcome O = runOracle(OracleKind::SolverAgreement, Src);
+  EXPECT_TRUE(O.Applicable);
+  EXPECT_FALSE(O.Failed) << O.Message;
+  EXPECT_EQ(O.Counters,
+            (std::vector<std::string>{"check.checked", "infer.checked"}));
+}
+
 TEST(FuzzReducer, ShrinksToPredicateMinimum) {
   const char *Src = "var g : ptr int;\n"
                     "fun f() : int { 1 + 2; g := 3; work(); 0 }\n"

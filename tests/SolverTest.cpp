@@ -12,26 +12,27 @@
 //    the saturated bucket 64 holding UINT64_MAX.
 //  * SmallElemSet behaves exactly like a reference set under randomized
 //    operation sequences across the inline -> spilled boundary.
-//  * SCC pre-collapse is invisible: the collapsed solver and the
-//    LNA_SOLVER_BASELINE=1 uncollapsed solver produce byte-identical
-//    diagnostics, annotated programs, and lock-analysis reports on every
-//    committed fixture and regression reproducer, and identical
-//    solutions on constructed cyclic constraint graphs.
+//  * SCC pre-collapse is invisible: on the final graph of every session
+//    -- constructed cyclic systems, every committed fixture and
+//    regression reproducer, and the generated corpus, in both pipeline
+//    modes under both alias backends -- membership in the propagated
+//    least solution, the collapsed CHECK-SAT walk, and explainReach's
+//    uncollapsed traversal of the raw constraint graph all agree.
+//  * Location unification mid-solve reaches intersections whose operand
+//    is a constant element.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Session.h"
+#include "corpus/Corpus.h"
 
 #include "effects/ConstraintSystem.h"
 #include "effects/SmallElemSet.h"
-#include "lang/AstPrinter.h"
 #include "obs/Metrics.h"
-#include "qual/LockAnalysis.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -207,12 +208,51 @@ TEST(SmallElemSet, SpillBoundaryIsExact) {
 }
 
 //===----------------------------------------------------------------------===//
-// SCC pre-collapse vs the uncollapsed baseline.
+// SCC pre-collapse vs the uncollapsed reference.
 //===----------------------------------------------------------------------===//
 
-// Builds the same constraint graph into \p CS: two plain-edge cycles,
-// a bridge between them, a dangling chain, and an intersection fed by a
-// cycle member -- every shape the collapse must treat differently.
+// Checks three-way agreement on a solved system over the (var, canonical
+// loc, kind) space, enumerated in a fixed order: every ReachStride-th
+// query must have member() == reaches(), and every ExplainStride-th
+// checked query must also match explainReach(), the uncollapsed
+// breadth-first walk over the raw per-variable graph (no condensation,
+// no source indexes). Returns how many checked queries were reachable,
+// so callers can tell the check was not vacuous.
+uint64_t expectThreeWayAgreement(ConstraintSystem &CS, uint64_t ReachStride,
+                                 uint64_t ExplainStride,
+                                 const std::string &Where) {
+  const LocTable &Locs = CS.locs();
+  uint64_t Index = 0, Checked = 0, Reachable = 0, Disagreements = 0;
+  for (EffVar V = 0; V < CS.numVars(); ++V)
+    for (LocId L = 0; L < Locs.size(); ++L) {
+      if (Locs.find(L) != L)
+        continue;
+      for (unsigned KI = 0; KI < 3; ++KI) {
+        if (Index++ % ReachStride)
+          continue;
+        EffectKind K = static_cast<EffectKind>(KI);
+        bool Member = CS.member(K, L, V);
+        bool Reaches = CS.reaches(K, L, V);
+        bool Reference = Checked++ % ExplainStride == 0
+                             ? !CS.explainReach(K, L, V).empty()
+                             : Reaches;
+        Reachable += Reaches;
+        if (Member == Reaches && Reaches == Reference)
+          continue;
+        if (++Disagreements <= 5)
+          ADD_FAILURE() << Where << ": kind " << KI << ", loc " << L
+                        << ", var " << V << ": member " << Member
+                        << ", reaches " << Reaches << ", explainReach "
+                        << Reference;
+      }
+    }
+  EXPECT_EQ(Disagreements, 0u) << Where;
+  return Reachable;
+}
+
+// Builds a constraint graph with two plain-edge cycles, a bridge between
+// them, a dangling chain, and an intersection fed by a cycle member --
+// every shape the collapse must treat differently.
 void buildCyclicSystem(LocTable &Locs, ConstraintSystem &CS) {
   std::vector<LocId> L;
   for (int I = 0; I < 6; ++I)
@@ -242,44 +282,20 @@ void buildCyclicSystem(LocTable &Locs, ConstraintSystem &CS) {
                      V[7]);
 }
 
-std::string solutionsToString(const ConstraintSystem &CS, uint32_t NumVars) {
-  std::string Out;
-  for (uint32_t I = 0; I < NumVars; ++I)
-    Out += CS.solutionToString(I) + "\n";
-  return Out;
-}
-
-TEST(SolverCollapse, CyclicGraphMatchesBaseline) {
-  std::string Collapsed, Base;
-  {
-    unsetenv("LNA_SOLVER_BASELINE");
-    LocTable Locs;
-    ConstraintSystem CS(Locs);
-    buildCyclicSystem(Locs, CS);
-    CS.solve();
-    Collapsed = solutionsToString(CS, CS.numVars());
-    // CHECK-SAT agrees with the solved solution on every seed.
-    EXPECT_TRUE(CS.reaches(EffectKind::Read, 0, 6));
-    EXPECT_TRUE(CS.reaches(EffectKind::Write, 1, 0));
-    EXPECT_FALSE(CS.reaches(EffectKind::Alloc, 3, 0));
-  }
-  {
-    setenv("LNA_SOLVER_BASELINE", "1", 1);
-    LocTable Locs;
-    ConstraintSystem CS(Locs);
-    buildCyclicSystem(Locs, CS);
-    CS.solve();
-    Base = solutionsToString(CS, CS.numVars());
-    EXPECT_TRUE(CS.reaches(EffectKind::Read, 0, 6));
-    EXPECT_TRUE(CS.reaches(EffectKind::Write, 1, 0));
-    EXPECT_FALSE(CS.reaches(EffectKind::Alloc, 3, 0));
-    unsetenv("LNA_SOLVER_BASELINE");
-  }
-  EXPECT_EQ(Collapsed, Base);
+TEST(SolverCollapse, CyclicGraphMatchesReference) {
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  buildCyclicSystem(Locs, CS);
+  CS.solve();
+  EXPECT_TRUE(CS.reaches(EffectKind::Read, 0, 6));
+  EXPECT_TRUE(CS.reaches(EffectKind::Write, 1, 0));
+  EXPECT_FALSE(CS.reaches(EffectKind::Alloc, 3, 0));
+  EXPECT_TRUE(CS.member(EffectKind::Read, 0, 7));
+  // Every (kind, loc, var) against the uncollapsed reference.
+  EXPECT_GT(expectThreeWayAgreement(CS, 1, 1, "cyclic system"), 0u);
 }
 
 TEST(SolverCollapse, CycleMembersShareOneSolution) {
-  unsetenv("LNA_SOLVER_BASELINE");
   LocTable Locs;
   ConstraintSystem CS(Locs);
   buildCyclicSystem(Locs, CS);
@@ -293,43 +309,86 @@ TEST(SolverCollapse, CycleMembersShareOneSolution) {
 }
 
 //===----------------------------------------------------------------------===//
-// Baseline-vs-optimized byte identity over the committed fixtures.
+// Location unification and element intersection operands.
 //===----------------------------------------------------------------------===//
 
-// Everything user-visible one analysis produces, rendered to a string:
-// success/failure, diagnostics, the annotated program, and the lock
-// report under both update regimes, in both pipeline modes.
-std::string analysisFingerprint(const std::string &Source) {
-  std::string F;
-  for (int Mode = 0; Mode < 2; ++Mode) {
-    PipelineOptions Opts;
-    Opts.Mode = Mode ? PipelineMode::CheckAnnotations : PipelineMode::Infer;
-    AnalysisSession S(Opts);
-    bool Ok = S.run(Source);
-    F += Mode ? "[check]\n" : "[infer]\n";
-    F += Ok ? "ok\n" : "failed\n";
-    F += S.diags().render();
-    if (S.failure())
-      F += S.failure()->Phase + ": " + S.failure()->Message + "\n";
-    if (S.hasResult()) {
-      AstPrinter P(S.context());
-      F += P.print(S.result().Analyzed);
-      for (int Strong = 0; Strong < 2; ++Strong) {
-        LockAnalysisOptions LO;
-        LO.AllStrong = Strong != 0;
-        LockAnalysisResult LR = analyzeLocks(S.context(), S.result(), LO);
-        F += "locks/" + std::to_string(Strong) + ": " +
-             std::to_string(LR.numErrors()) + "\n";
-        for (const LockError &E : LR.Errors)
-          F += "  " + std::to_string(E.Loc.Line) + ":" +
-               std::to_string(E.Loc.Col) + (E.IsAcquire ? " acquire" : " release") +
-               "\n";
-      }
-    }
+// V holds read(l0); (V n {read(l1)}) <= Out; a conditional that fires on
+// read(l0) in V unifies l1 with l0. After the unify the intersection's
+// element operand *is* read(l0), so read(l0) belongs in sol(Out) -- as
+// CHECK-SAT and explainReach already say. Both unify directions, since
+// which location survives as the class representative decides whether
+// V's own set changes.
+TEST(SolverConditional, ElementOperandSeesLocationUnify) {
+  for (bool IntoL0 : {true, false}) {
+    LocTable Locs;
+    ConstraintSystem CS(Locs);
+    LocId L0 = Locs.fresh(), L1 = Locs.fresh();
+    EffVar V = CS.makeVar(), Out = CS.makeVar(), ConstOut = CS.makeVar();
+    CS.addElement(EffectKind::Read, L0, V);
+    CS.addIntersection(InterOperand::var(V),
+                       InterOperand::elem(EffectElem(EffectKind::Read, L1)),
+                       Out);
+    // Constant intersection: (read(l0) n read(l1)) <= ConstOut.
+    CS.addIntersection(InterOperand::elem(EffectElem(EffectKind::Read, L0)),
+                       InterOperand::elem(EffectElem(EffectKind::Read, L1)),
+                       ConstOut);
+    CondConstraint C;
+    C.P = CondConstraint::Premise::LocInVar;
+    C.Rho = L0;
+    C.Var = V;
+    C.Actions.push_back({CondAction::Kind::UnifyLocs, IntoL0 ? L1 : L0,
+                         IntoL0 ? L0 : L1});
+    CS.addConditional(std::move(C));
+    CS.solve();
+    ASSERT_TRUE(Locs.sameClass(L0, L1));
+    EXPECT_TRUE(CS.reaches(EffectKind::Read, L0, Out));
+    EXPECT_TRUE(CS.member(EffectKind::Read, L0, Out)) << "into l0 " << IntoL0;
+    EXPECT_TRUE(CS.member(EffectKind::Read, L0, ConstOut))
+        << "into l0 " << IntoL0;
+    expectThreeWayAgreement(CS, 1, 1,
+                            IntoL0 ? "unify into l0" : "unify into l1");
   }
-  return F;
 }
 
+//===----------------------------------------------------------------------===//
+// Agreement with the reference on analysis graphs.
+//===----------------------------------------------------------------------===//
+
+// Runs \p Source in both pipeline modes under both alias backends and
+// checks three-way agreement on each session's final constraint graph.
+// Returns the number of reachable queries checked.
+uint64_t expectSessionsAgree(const std::string &Source, uint64_t ReachStride,
+                             uint64_t ExplainStride,
+                             const std::string &Name) {
+  uint64_t Reachable = 0;
+  for (PipelineMode Mode :
+       {PipelineMode::CheckAnnotations, PipelineMode::Infer})
+    for (AliasBackendKind Backend :
+         {AliasBackendKind::Steensgaard, AliasBackendKind::Andersen}) {
+      PipelineOptions Opts;
+      Opts.Mode = Mode;
+      Opts.AliasBackend = Backend;
+      AnalysisSession S(Opts);
+      if (!S.run(Source))
+        continue;
+      ConstraintSystem &CS = S.result().State->CS;
+      // Checking answers restricts with CHECK-SAT and solves only when
+      // conditionals or explicit confines need it; inference has already
+      // solved to its fixpoint.
+      if (Mode == PipelineMode::CheckAnnotations)
+        CS.solve();
+      Reachable += expectThreeWayAgreement(
+          CS, ReachStride, ExplainStride,
+          Name + (Mode == PipelineMode::Infer ? " [infer/" : " [check/") +
+              aliasBackendName(Backend) + "]");
+    }
+  return Reachable;
+}
+
+// One instance per committed fixture and regression reproducer: the full
+// (var, loc, kind) sweep for member vs reaches, a strided sample for the
+// allocating explainReach reference. In the test name, the "baseline" is
+// explainReach's uncollapsed traversal.
 class SolverIdentityCorpus : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SolverIdentityCorpus, BaselineAndCollapsedReportsAreIdentical) {
@@ -337,15 +396,18 @@ TEST_P(SolverIdentityCorpus, BaselineAndCollapsedReportsAreIdentical) {
   ASSERT_TRUE(In.good()) << "cannot open " << GetParam();
   std::stringstream Buf;
   Buf << In.rdbuf();
-  std::string Source = Buf.str();
+  expectSessionsAgree(Buf.str(), 1, 7, GetParam());
+}
 
-  unsetenv("LNA_SOLVER_BASELINE");
-  std::string Optimized = analysisFingerprint(Source);
-  setenv("LNA_SOLVER_BASELINE", "1", 1);
-  std::string Baseline = analysisFingerprint(Source);
-  unsetenv("LNA_SOLVER_BASELINE");
-
-  EXPECT_EQ(Optimized, Baseline) << GetParam();
+// The generated 589-module corpus, strided: every corpus shape's final
+// graphs are checked against the uncollapsed reference.
+TEST(SolverCorpus, GeneratedCorpusAgreesWithReference) {
+  std::vector<ModuleSpec> Corpus = generateCorpus();
+  ASSERT_EQ(Corpus.size(), 589u);
+  uint64_t Reachable = 0;
+  for (const ModuleSpec &M : Corpus)
+    Reachable += expectSessionsAgree(M.Source, 53, 11, M.Name);
+  EXPECT_GT(Reachable, 0u);
 }
 
 std::vector<std::string> identityFiles() {

@@ -32,12 +32,12 @@
 #     and CSR-graph indexing), and a precision-differential fuzz smoke
 #     cross-checking the two backends' refinement contract.
 #  7. Solver stage: the `solver`-labeled suite under asan-ubsan (SCC
-#     condensation, small-set spill boundaries, quantile edges), a
-#     byte-identity diff of full-corpus reports between the collapsed
-#     solver and the LNA_SOLVER_BASELINE=1 uncollapsed solver for both
-#     alias backends, and a solver-agreement fuzz smoke run with the
-#     collapse enabled (the default, but stated here because this is
-#     the hot path the optimizations rewrote).
+#     condensation, small-set spill boundaries, quantile edges, and
+#     least-solution/CHECK-SAT agreement with explainReach's uncollapsed
+#     traversal on every fixture and the generated corpus, in checking
+#     and inference mode under both alias backends), then a
+#     solver-agreement fuzz smoke that makes the same comparison on the
+#     final graphs of random checking and inference runs.
 #  8. Chaos stage: the `supervisor`-labeled suite under asan-ubsan
 #     (fork/exec, pipe-protocol parsing of untrusted worker bytes,
 #     signal handling), then a full-corpus chaos audit: every module
@@ -169,17 +169,6 @@ echo "== asan-ubsan: precision-differential fuzz smoke =="
 
 echo "== asan-ubsan: solver suite =="
 ctest --test-dir build-asan-ubsan --output-on-failure -L solver
-
-echo "== asan-ubsan: collapsed-vs-baseline solver corpus identity =="
-for backend in steensgaard andersen; do
-  ./build-asan-ubsan/tools/lna-corpus --alias="$backend" 2> /dev/null \
-    | grep -v wall-clock > "build-asan-ubsan/solver_opt_$backend.txt"
-  LNA_SOLVER_BASELINE=1 ./build-asan-ubsan/tools/lna-corpus \
-    --alias="$backend" 2> /dev/null \
-    | grep -v wall-clock > "build-asan-ubsan/solver_base_$backend.txt"
-  cmp "build-asan-ubsan/solver_opt_$backend.txt" \
-    "build-asan-ubsan/solver_base_$backend.txt"
-done
 
 echo "== asan-ubsan: solver-agreement fuzz smoke =="
 ./build-asan-ubsan/tools/lna-fuzz --oracle=solver-agreement --seed=3 \
