@@ -226,14 +226,8 @@ public:
 //===----------------------------------------------------------------------===//
 
 AnalysisSession::AnalysisSession(PipelineOptions Opts) : Opts(Opts) {
-  Result.State = std::make_unique<AnalysisState>();
-  Result.State->selectAliasBackend(Opts.AliasBackend);
   Ctx.setMemoryLimit(Opts.Limits.MaxMemoryBytes);
-  if (Opts.TrackProvenance)
-    Result.State->CS.enableOriginTracking();
 }
-
-AnalysisSession::~AnalysisSession() = default;
 
 bool AnalysisSession::runPhase(Phase &P) {
   Timer T;
@@ -272,14 +266,25 @@ bool AnalysisSession::runPhase(Phase &P) {
 
 bool AnalysisSession::runPhases(std::string_view Source,
                                 const Program *Parsed) {
+  // Every run starts from fresh analysis state: the modes type the same
+  // program differently, so only the context, the diagnostics and the
+  // stats carry over from an earlier run.
+  Result = PipelineResult{};
+  Result.State = std::make_unique<AnalysisState>();
+  Result.State->selectAliasBackend(Opts.AliasBackend);
+  if (Opts.TrackProvenance)
+    Result.State->CS.enableOriginTracking();
+  Finished = false;
   Failure.reset();
-  Budget.arm(Opts.Limits);
+  // Nodes already in the context were parsed for this run's program
+  // (by the caller or an earlier run); they count against its node cap
+  // just as a parse phase of its own would have charged them.
+  Budget.arm(Opts.Limits, Ctx.numExprs());
 
   std::vector<std::unique_ptr<Phase>> Pipeline;
+  Input = Parsed;
   if (!Parsed)
     Pipeline.push_back(std::make_unique<ParsePhase>(Source));
-  else
-    Input = Parsed;
   if (Opts.InlineDepth > 0)
     Pipeline.push_back(std::make_unique<InlinePhase>());
   if (Opts.Mode == PipelineMode::Infer && Opts.PlaceConfines)

@@ -28,9 +28,10 @@
 /// qual lock analysis -- instrument their own work through runPhase(),
 /// keeping the library dependency order intact.
 ///
-/// Sessions are single-threaded and self-contained: the parallel corpus
-/// experiment (src/corpus/Experiment.cpp) runs one session per module per
-/// worker with no shared mutable state.
+/// Sessions are single-threaded and self-contained. Every run() starts
+/// from fresh analysis state over the session's one ASTContext, so the
+/// corpus experiment (src/corpus/Experiment.cpp) parses each module once
+/// and runs the checking and inference modes as two runs of one session.
 ///
 /// The session is the one entry point into the analysis. Typical use:
 ///
@@ -99,7 +100,6 @@ class AnalysisSession {
 public:
   /// A self-contained session owning its ASTContext and Diagnostics.
   explicit AnalysisSession(PipelineOptions Opts = {});
-  ~AnalysisSession();
 
   AnalysisSession(const AnalysisSession &) = delete;
   AnalysisSession &operator=(const AnalysisSession &) = delete;
@@ -116,8 +116,12 @@ public:
   /// parse or standard type errors (reported through diags()).
   bool run(std::string_view Source);
   /// Runs the analysis phases over a program already parsed into
-  /// context(); no parse phase is recorded.
+  /// context(); no parse phase is recorded, but the context's nodes count
+  /// against the run's AST-node cap as if this run had parsed them.
   bool run(const Program &P);
+  /// Selects the mode of the following runs (a run's stats accumulate;
+  /// its analysis state, result and budget start afresh).
+  void setMode(PipelineMode M) { Opts.Mode = M; }
 
   /// Runs one caller-supplied phase with session timing and counter
   /// instrumentation. This is how layers above core (e.g. the qual lock
@@ -126,12 +130,10 @@ public:
   /// recorded as the session's failure(); they never propagate out.
   bool runPhase(Phase &P);
 
-  /// The structured reason the last run failed, or nullopt if it
-  /// succeeded (or no run happened yet).
+  /// Why the last run failed, or nullopt if it succeeded or never ran.
   const std::optional<PhaseFailure> &failure() const { return Failure; }
 
-  /// The resource budget governing this session's phases. Armed from
-  /// options().Limits at the start of each run.
+  /// The budget governing the phases, re-armed at the start of each run.
   ResourceBudget &budget() { return Budget; }
 
   /// True after a successful run().
@@ -140,10 +142,8 @@ public:
   PipelineResult &result() { return Result; }
   const PipelineResult &result() const { return Result; }
 
-  //===--------------------------------------------------------------===//
-  // Phase-facing state. Phases are pipeline internals; these accessors
-  // exist for them and for tests that inspect intermediate state.
-  //===--------------------------------------------------------------===//
+  // Phase-facing state: pipeline internals, exposed for the phases and
+  // for tests that inspect intermediate state.
 
   /// The program the next phase should analyze. The parse, inline, and
   /// confine-placement phases advance it; the pointee lives in the

@@ -70,13 +70,13 @@ lna::analyzeModuleAllModes(const std::string &Source,
                            const ModuleAnalysisOptions &MOpts) {
   ModuleModeResult Out;
   // The injected hook governs the whole module analysis: every arena
-  // allocation and phase boundary of the three mode pipelines below.
+  // allocation and phase boundary of both mode pipelines below.
   std::optional<FaultHookScope> Hook;
   if (MOpts.Faults)
     Hook.emplace(*MOpts.Faults);
   // Metrics/trace routing is likewise scoped to the whole module: the
   // result registry and the caller's sink receive every span and sample
-  // of all three mode pipelines (and nothing from other modules, since
+  // of both mode pipelines (and nothing from other modules, since
   // both scopes are thread-local).
   std::optional<MetricsScope> MScope;
   if (MOpts.CollectMetrics)
@@ -88,52 +88,37 @@ lna::analyzeModuleAllModes(const std::string &Source,
   try {
     faultPoint("corpus:module");
 
-    // No-confine and all-strong share the annotation-checking pipeline
-    // (plain CQual aliasing: no splits, no candidates).
-    {
-      PipelineOptions Opts;
-      Opts.Mode = PipelineMode::CheckAnnotations;
-      Opts.Limits = MOpts.Limits;
-      Opts.AliasBackend = MOpts.AliasBackend;
-      AnalysisSession S(Opts);
-      if (!S.run(Source)) {
-        Out.Stats.merge(S.stats());
-        recordSessionFailure(Out, S, *S.failure());
-        return Out;
-      }
+    // One session parses the module once and runs both mode pipelines
+    // over that one program. No-confine and all-strong share the
+    // annotation-checking run (plain CQual aliasing: no splits, no
+    // candidates); confine inference is a second run in inference mode.
+    // The session's stats accumulate over both runs.
+    PipelineOptions Opts;
+    Opts.Mode = PipelineMode::CheckAnnotations;
+    Opts.Limits = MOpts.Limits;
+    Opts.AliasBackend = MOpts.AliasBackend;
+    AnalysisSession S(Opts);
+    // The lock phases run through runPhase, so their aborts land in the
+    // session failure rather than escaping.
+    if (S.run(Source)) {
       Out.Counts.NoConfine = analyzeLocks(S, {}).numErrors();
       LockAnalysisOptions Strong;
       Strong.AllStrong = true;
       Out.Counts.AllStrong = analyzeLocks(S, Strong).numErrors();
-      Out.Stats.merge(S.stats());
-      // The lock phases run through runPhase, so their aborts land in
-      // the session failure rather than escaping.
-      if (S.failure()) {
-        recordSessionFailure(Out, S, *S.failure());
-        return Out;
-      }
     }
-
-    // Confine inference.
-    {
-      PipelineOptions Opts;
-      Opts.Limits = MOpts.Limits;
-      Opts.AliasBackend = MOpts.AliasBackend;
-      AnalysisSession S(Opts);
-      bool Ok = S.run(Source);
-      if (!Ok) {
-        Out.Stats.merge(S.stats());
-        recordSessionFailure(Out, S, *S.failure());
-        return Out;
-      }
-      Out.Counts.ConfineInference = analyzeLocks(S, {}).numErrors();
-      Out.Stats.merge(S.stats());
-      if (S.failure()) {
-        recordSessionFailure(Out, S, *S.failure());
-        return Out;
-      }
+    if (!S.failure()) {
+      // Checking analyzes the parsed program as is; its nodes live in the
+      // session's context, so the program outlives the checking result.
+      Program Parsed = std::move(S.result().Analyzed);
+      S.setMode(PipelineMode::Infer);
+      if (S.run(Parsed))
+        Out.Counts.ConfineInference = analyzeLocks(S, {}).numErrors();
     }
-
+    Out.Stats = std::move(S.stats());
+    if (S.failure()) {
+      recordSessionFailure(Out, S, *S.failure());
+      return Out;
+    }
     Out.Ok = true;
   } catch (const AnalysisAbort &A) {
     // Backstop for faults fired outside any phase (e.g. the

@@ -17,12 +17,12 @@
 ///    headline number);
 ///  * the Figure 6 histogram of eliminated errors per module.
 ///
-/// Modules are independent -- each is analyzed in its own AnalysisSession
-/// with no shared mutable state -- so the experiment optionally fans out
-/// over a fixed thread pool (ExperimentOptions::Jobs). Aggregation is
-/// always performed serially in module order, making every result
-/// (including the rendered report) byte-identical regardless of job
-/// count.
+/// Modules are independent -- each is parsed once and analyzed in both
+/// mode pipelines by its own AnalysisSession, with no shared mutable
+/// state -- so the experiment optionally fans out over a fixed thread
+/// pool (ExperimentOptions::Jobs). Aggregation is always performed
+/// serially in module order, making every result (including the
+/// rendered report) byte-identical regardless of job count.
 ///
 /// The runner is fault-isolated: each module analyzes under the resource
 /// budget of ExperimentOptions::Limits and (optionally) a per-module
@@ -86,7 +86,8 @@ struct ModuleModeResult {
   FailureKind Failure = FailureKind::None;
   /// The phase the failure surfaced in (empty for load failures).
   std::string FailedPhase;
-  /// Per-phase timings/counters merged over the mode pipelines.
+  /// Per-phase timings/counters of the module's session, accumulated
+  /// over both mode pipelines (one parse).
   SessionStats Stats;
   /// Structural solver metrics (only filled when
   /// ModuleAnalysisOptions::CollectMetrics): counters and histograms,

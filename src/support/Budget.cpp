@@ -31,10 +31,10 @@ const char *lna::failureKindName(FailureKind K) {
   return "?";
 }
 
-void ResourceBudget::arm(const ResourceLimits &L) {
+void ResourceBudget::arm(const ResourceLimits &L, uint64_t AstNodesSoFar) {
   Limits = L;
   Steps = 0;
-  AstNodes = 0;
+  AstNodes = AstNodesSoFar;
   Polls = 0;
   Armed = L.any();
   if (Limits.TimeoutMillis != 0)

@@ -103,13 +103,15 @@ struct ResourceLimits {
 
 /// Cooperative budget: counts steps and AST nodes against the caps and
 /// polls the wall clock, throwing AnalysisAbort on exhaustion. One
-/// budget governs one analysis session (all of its phases share the
-/// deadline and the step count).
+/// budget governs one run of an analysis session (all of its phases
+/// share the deadline and the step count).
 class ResourceBudget {
 public:
-  /// Arms the caps; the deadline starts now. Arming with all-zero
-  /// limits leaves the budget disarmed (every poll is then a no-op).
-  void arm(const ResourceLimits &L);
+  /// Arms the caps; the deadline starts now and the step count at zero.
+  /// \p AstNodesSoFar nodes count as already charged against
+  /// MaxAstNodes. Arming with all-zero limits leaves the budget disarmed
+  /// (every poll is then a no-op).
+  void arm(const ResourceLimits &L, uint64_t AstNodesSoFar = 0);
 
   bool armed() const { return Armed; }
   const ResourceLimits &limits() const { return Limits; }

@@ -75,10 +75,13 @@ TEST(FuzzOracles, UnparseableProgramsAreVacuous) {
 }
 
 TEST(FuzzOracles, CleanProgramPassesAllOracles) {
+  // The program must type-check, or every oracle is vacuously
+  // not-applicable and the test proves nothing.
   const char *Src = "var g : ptr int;\n"
-                    "fun f() : int { restrict r = g in { r := 1; *r } }";
+                    "fun f() : int { restrict r = g in { *r := 1; 0 } }";
   for (unsigned I = 0; I < NumOracleKinds; ++I) {
     OracleOutcome O = runOracle(static_cast<OracleKind>(I), Src);
+    EXPECT_TRUE(O.Applicable) << oracleName(static_cast<OracleKind>(I));
     EXPECT_FALSE(O.Failed) << oracleName(static_cast<OracleKind>(I)) << ": "
                            << O.Message;
   }

@@ -7,8 +7,8 @@
 //
 // Exercises the phase-structured driver layer: phase ordering per mode,
 // early exit on parse/type errors, stats counters being populated for a
-// known fixture, JSON dump shape, and running over a program parsed into
-// the session's context.
+// known fixture, JSON dump shape, running over a program parsed into
+// the session's context, and repeated runs on one session.
 //
 //===----------------------------------------------------------------------===//
 
@@ -222,6 +222,44 @@ TEST(Session, BorrowedContextSessionMatchesOwning) {
   EXPECT_EQ(A.OptionalConfines, B.OptionalConfines);
   EXPECT_EQ(Parsed.stats().findPhase("parse"), nullptr);
   EXPECT_NE(FromSource.stats().findPhase("parse"), nullptr);
+}
+
+TEST(Session, SecondRunMatchesAFreshSession) {
+  // Every run starts from fresh analysis state: running the same source
+  // twice on one session gives a fresh session's answers, and the second
+  // run adds exactly a fresh session's counters to the accumulated stats.
+  for (PipelineMode Mode :
+       {PipelineMode::CheckAnnotations, PipelineMode::Infer}) {
+    PipelineOptions Opts;
+    Opts.Mode = Mode;
+    AnalysisSession Fresh(Opts);
+    ASSERT_TRUE(Fresh.run(Fixture)) << Fresh.diags().render();
+    unsigned FreshLockErrors = analyzeLocks(Fresh, {}).numErrors();
+
+    AnalysisSession Twice(Opts);
+    ASSERT_TRUE(Twice.run(Fixture)) << Twice.diags().render();
+    analyzeLocks(Twice, {});
+    SessionStats First = Twice.stats();
+    ASSERT_TRUE(Twice.run(Fixture)) << Twice.diags().render();
+    EXPECT_EQ(analyzeLocks(Twice, {}).numErrors(), FreshLockErrors);
+
+    const PipelineResult &A = Fresh.result(), &B = Twice.result();
+    EXPECT_EQ(A.Inference.RestrictableBinds.size(),
+              B.Inference.RestrictableBinds.size());
+    EXPECT_EQ(A.Inference.SucceededConfines.size(),
+              B.Inference.SucceededConfines.size());
+    EXPECT_EQ(A.OptionalConfines.size(), B.OptionalConfines.size());
+    EXPECT_EQ(A.Checks.Violations.size(), B.Checks.Violations.size());
+    EXPECT_EQ(A.Alias.Binds.size(), B.Alias.Binds.size());
+
+    EXPECT_EQ(phaseNames(Twice.stats()), phaseNames(Fresh.stats()));
+    for (const PhaseStats &P : Fresh.stats().phases())
+      for (const auto &[Name, Value] : P.Counters)
+        EXPECT_EQ(Twice.stats().counter(P.Name, Name) -
+                      First.counter(P.Name, Name),
+                  Value)
+            << P.Name << "/" << Name;
+  }
 }
 
 } // namespace

@@ -16,6 +16,8 @@
 //   --limit=N          analyze only the first N modules (smoke tests)
 //   --json=FILE        write the full JSON report to FILE ('-' for stdout)
 //   --stats            print the aggregated per-phase timing/counter table
+//                      (at --jobs=1 an outside-phases line makes its
+//                      total the wall-clock)
 //   --timeout-ms=N     per-module wall-clock deadline
 //   --max-memory-mb=N  per-module AST arena byte cap
 //   --max-steps=N      per-module analysis step cap
@@ -113,6 +115,7 @@
 #include "support/Subprocess.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -805,8 +808,17 @@ int main(int Argc, char **Argv) {
                WallSuffix.c_str());
 
   if (Cli.PrintStats) {
+    // A single in-process thread spends the whole wall-clock either in
+    // a phase or between phases (session set-up, cache and fault scopes,
+    // aggregation), so the remainder gets a named line and the table's
+    // total is the wall-clock. Parallel phase sums are CPU time and
+    // cannot be reconciled with the wall-clock this way.
+    SessionStats Ledger = S.Stats;
+    if (!Cli.MergeShards && Cli.Workers == 0 && Cli.Jobs == 1)
+      Ledger.phase("outside-phases").Seconds =
+          std::max(0.0, Elapsed - S.Stats.totalSeconds());
     std::fprintf(Text, "\nper-phase totals (CPU time across all modules):\n%s",
-                 S.Stats.renderText().c_str());
+                 Ledger.renderText().c_str());
     std::fprintf(Text, "\nper-phase wall time across modules:\n");
     std::fprintf(Text, "  %-28s %10s %10s %10s\n", "phase", "p50 ms",
                  "p95 ms", "max ms");

@@ -15,8 +15,12 @@
 #     sanitizers watch the interpreter/solver memory behavior, plus the
 #     committed regression corpus replay (FuzzTest + cli_fuzz_smoke).
 #  3. Robustness stage: the `robustness`-labeled suite (budgets, typed
-#     aborts, fault injection, checkpoint resume) under asan-ubsan --
-#     exception-heavy unwind paths are where leaks hide -- plus a short
+#     aborts, fault injection, checkpoint resume, and ParseOnceTest's
+#     budget-parity and two-session equivalence tests) under asan-ubsan
+#     -- exception-heavy unwind paths are where leaks hide, and the
+#     parsed program a module's checking run hands its inference run
+#     outlives the checking result in the session's shared arena, where
+#     a lifetime bug would show -- plus a short
 #     fault-injected parallel corpus run under tsan, checking that
 #     injected aborts racing across workers neither corrupt the report
 #     nor trip the sanitizer.
@@ -112,7 +116,7 @@ ctest --test-dir build-asan-ubsan --output-on-failure \
 echo "== asan-ubsan: 30-second differential fuzz smoke =="
 ./build-asan-ubsan/tools/lna-fuzz --seed=1 --runs=100000 --max-seconds=30
 
-echo "== asan-ubsan: robustness suite (budgets, fault injection) =="
+echo "== asan-ubsan: robustness suite (budgets, fault injection, parse once) =="
 ctest --test-dir build-asan-ubsan --output-on-failure -L robustness
 
 echo "== tsan: fault-injected parallel corpus run =="
