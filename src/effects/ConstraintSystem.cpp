@@ -338,7 +338,6 @@ bool ConstraintSystem::reachesAnyKind(LocId Rho, EffVar Target) const {
 //===----------------------------------------------------------------------===//
 
 void ConstraintSystem::insertElem(EffVar V, uint32_t ElemBits) {
-  ensureCondensed();
   insertElemComp(Cond.Comp[V], ElemBits);
 }
 
@@ -357,7 +356,6 @@ void ConstraintSystem::insertElemComp(uint32_t C, uint32_t ElemBits) {
 
 void ConstraintSystem::propagate() {
   Span Sp("propagate");
-  ensureCondensed();
   std::vector<uint32_t> Batch;
   while (!Worklist.empty()) {
     uint32_t C = Worklist.back();
@@ -385,7 +383,6 @@ void ConstraintSystem::propagate() {
 void ConstraintSystem::recanonicalize() {
   Span Sp("recanonicalize");
   budgetStep(Vars.size());
-  ensureCondensed();
   // Rebuild solution sets with canonical elements. Only components whose
   // set actually changed (an element mentioned a just-unified location)
   // need re-pushing: edges propagate set contents, which are unchanged,
@@ -426,7 +423,6 @@ void ConstraintSystem::recanonicalize() {
 }
 
 void ConstraintSystem::recheckElemIntersections() {
-  ensureCondensed();
   // The other operand needs checking only against the element operand's
   // current canonical element; everything else that arrives later flows
   // through propagate(). Covers constant (element n element)
@@ -499,10 +495,20 @@ void ConstraintSystem::computeScope(const std::vector<EffVar> &QueryVars) {
 
 bool ConstraintSystem::evalPremise(const CondConstraint &C) const {
   switch (C.P) {
-  case CondConstraint::Premise::LocInVar:
-    if (!C.AnyOf.empty())
-      return memberAnyKindAnyOf(C.Rho, C.AnyOf);
-    return memberAnyKind(C.Rho, C.Var);
+  case CondConstraint::Premise::LocInVar: {
+    // Reads the round's partition directly: member() would rebuild the
+    // condensation after every fired edge.
+    LocId L = Locs.find(C.Rho);
+    auto HasLoc = [&](EffVar V) {
+      const SmallElemSet &S = Cond.Sol[Cond.Comp[V]];
+      return S.contains(EffectElem(EffectKind::Read, L).bits()) ||
+             S.contains(EffectElem(EffectKind::Write, L).bits()) ||
+             S.contains(EffectElem(EffectKind::Alloc, L).bits());
+    };
+    if (C.AnyOf.empty())
+      return HasLoc(C.Var);
+    return std::any_of(C.AnyOf.begin(), C.AnyOf.end(), HasLoc);
+  }
   case CondConstraint::Premise::SideEffectNonEmpty:
     for (uint32_t E : Cond.Sol[Cond.Comp[C.Var]]) {
       EffectKind K = EffectElem(E).kind();
@@ -535,19 +541,17 @@ void ConstraintSystem::applyAction(const CondAction &A) {
     Locs.unify(A.A, A.B, FlowDir::AToB);
     break;
   case CondAction::Kind::AddEdge: {
+    // The edge enters the authoritative graph now, invalidating the
+    // condensation, but the round keeps running on the current partition
+    // (see solve()). Flow the already-computed solution across the edge
+    // explicitly; what reaches A's component later this round waits in
+    // its Pending list and crosses the edge after the round-end rebuild.
     addEdge(A.A, A.B);
-    // The new edge may fold components together; the rebuild carries and
-    // re-queues merged solutions. If the endpoints stay separate, flow
-    // the already-computed solution across the new edge explicitly.
-    ensureCondensed();
     uint32_t CA = Cond.Comp[A.A], CB = Cond.Comp[A.B];
-    if (CA != CB) {
-      std::vector<uint32_t> Elems;
+    // Iterating CA's set while inserting into CB's is safe: they differ.
+    if (CA != CB)
       for (uint32_t E : Cond.Sol[CA])
-        Elems.push_back(E);
-      for (uint32_t E : Elems)
         insertElemComp(CB, E);
-    }
     break;
   }
   case CondAction::Kind::AddElemAllKinds:
@@ -589,7 +593,12 @@ void ConstraintSystem::solve(const std::vector<EffVar> &QueryVars) {
   uint32_t MergeStamp = Locs.numClassesMerged();
 
   // Fire conditional constraints to a fixpoint. Each fires at most once,
-  // bounding the number of rounds.
+  // bounding the number of rounds. A fired edge only invalidates the
+  // condensation; the round goes on with the current partition, which
+  // stays sound because structure only grows (every old component lies
+  // inside one new component). Nothing in the round rebuilds, so an
+  // abort mid-round leaves the condensation marked invalid and the next
+  // query rebuilds it from the complete graph.
   Span SpCond("resolve-conditionals");
   while (true) {
     bool AnyFired = false;
@@ -611,6 +620,9 @@ void ConstraintSystem::solve(const std::vector<EffVar> &QueryVars) {
     }
     if (!AnyFired)
       break;
+    // One rebuild folds in every edge fired this round, carrying Pending
+    // and re-queuing merged sets.
+    ensureCondensed();
     recanonicalize();
     if (Locs.numClassesMerged() != MergeStamp) {
       MergeStamp = Locs.numClassesMerged();
@@ -637,14 +649,6 @@ bool ConstraintSystem::memberAnyKind(LocId Rho, EffVar V) const {
   return member(EffectKind::Read, Rho, V) ||
          member(EffectKind::Write, Rho, V) ||
          member(EffectKind::Alloc, Rho, V);
-}
-
-bool ConstraintSystem::memberAnyKindAnyOf(
-    LocId Rho, const std::vector<EffVar> &Vs) const {
-  for (EffVar V : Vs)
-    if (memberAnyKind(Rho, V))
-      return true;
-  return false;
 }
 
 std::string ConstraintSystem::solutionToString(EffVar V) const {

@@ -44,11 +44,11 @@
 /// every variable on a plain-edge cycle provably has the same least
 /// solution, so solution sets, the propagation worklist, and CHECK-SAT's
 /// DFS all operate at component granularity. The condensation is built
-/// lazily (and rebuilt when fired conditionals add edges), with the
-/// adjacency packed into CSR arrays for locality. The one uncollapsed
-/// traversal is explainReach, which walks the raw per-variable graph for
-/// --explain witnesses and doubles as the reference the solver tests
-/// and benchmarks compare reaches() and member() against.
+/// lazily (and rebuilt once per firing round), with the adjacency packed
+/// into CSR arrays for locality. The one uncollapsed traversal is
+/// explainReach, which walks the raw per-variable graph for --explain
+/// witnesses and doubles as the reference the solver tests and
+/// benchmarks compare reaches() and member() against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -230,8 +230,6 @@ public:
   /// through the location union-find.
   bool member(EffectKind K, LocId Rho, EffVar V) const;
   bool memberAnyKind(LocId Rho, EffVar V) const;
-  /// Membership in the union of several variables' solutions.
-  bool memberAnyKindAnyOf(LocId Rho, const std::vector<EffVar> &Vs) const;
 
   const SolverStats &stats() const { return Stats; }
 
@@ -313,7 +311,9 @@ private:
   /// The lazily built SCC condensation both solvers run on. Solution
   /// sets live here, at component granularity; a rebuild (triggered by
   /// new variables, edges, or intersections) carries them over by
-  /// unioning the old components that fold into each new one.
+  /// unioning the old components that fold into each new one. A firing
+  /// round of solve() keeps using an invalidated (stale) partition and
+  /// rebuilds once at the round's end.
   struct Condensation {
     bool Valid = false;
     uint32_t NumComps = 0;

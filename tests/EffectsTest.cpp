@@ -578,7 +578,7 @@ TEST_F(EffectsFixture, SolutionsRecanonicalizeAfterConditionalUnify) {
   EXPECT_TRUE(CS.member(EffectKind::Read, A, V));
   EXPECT_TRUE(CS.member(EffectKind::Read, B, V));
   EXPECT_TRUE(CS.member(EffectKind::Write, B, W));
-  EXPECT_TRUE(CS.memberAnyKindAnyOf(B, {V}));
+  EXPECT_TRUE(CS.memberAnyKind(B, V));
 }
 
 TEST_F(EffectsFixture, ChainedConditionalUnifiesRecanonicalize) {

@@ -20,6 +20,12 @@
 //    uncollapsed traversal of the raw constraint graph all agree.
 //  * Location unification mid-solve reaches intersections whose operand
 //    is a constant element.
+//  * Edges fired by conditionals are folded into the condensation once
+//    per firing round, not once per edge: a round of confine?-style
+//    failures costs one rebuild, a fired edge that closes a cycle merges
+//    at the round's end, elements that reach an edge's source after it
+//    fired cross it after the rebuild, and a budget abort mid-round
+//    leaves no stale condensation behind for CHECK-SAT to trust.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +35,13 @@
 #include "effects/ConstraintSystem.h"
 #include "effects/SmallElemSet.h"
 #include "obs/Metrics.h"
+#include "obs/Trace.h"
+#include "support/Budget.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -348,6 +357,221 @@ TEST(SolverConditional, ElementOperandSeesLocationUnify) {
     expectThreeWayAgreement(CS, 1, 1,
                             IntoL0 ? "unify into l0" : "unify into l1");
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Fired edges and the once-per-round condensation rebuild.
+//===----------------------------------------------------------------------===//
+
+uint64_t countSpans(const TraceSink &Sink, const char *Name) {
+  uint64_t N = 0;
+  for (uint64_t I = Sink.oldestIndex(); I < Sink.numTotal(); ++I)
+    N += std::strcmp(Sink.spanAt(I).Name, Name) == 0;
+  return N;
+}
+
+// K optional confine? candidates shaped as Inference.cpp builds them, all
+// failing in the first firing round: Body_i holds read(rho_i), so
+// "rho_i in L2" holds, and the failure unifies rho_i with rho'_i and adds
+// Subject_i <= P_i. Each subject carries a write of its own location,
+// and every P_i flows on into one shared sink variable.
+struct FailingConfines {
+  EffVar Sink;
+  std::vector<LocId> SubjectLocs;
+};
+FailingConfines buildFailingConfines(LocTable &Locs, ConstraintSystem &CS,
+                                     unsigned K) {
+  FailingConfines F{CS.makeVar(), {}};
+  for (unsigned I = 0; I < K; ++I) {
+    LocId Rho = Locs.fresh(), RhoPrime = Locs.fresh(), Own = Locs.fresh();
+    EffVar Body = CS.makeVar(), Subject = CS.makeVar(), P = CS.makeVar();
+    CS.addElement(EffectKind::Read, Rho, Body);
+    CS.addElement(EffectKind::Write, Own, Subject);
+    CS.addElement(EffectKind::Read, RhoPrime, P);
+    CS.addEdge(P, F.Sink);
+    F.SubjectLocs.push_back(Own);
+    CondConstraint C;
+    C.P = CondConstraint::Premise::LocInVar;
+    C.Rho = Rho;
+    C.Var = Body;
+    C.Actions = {{CondAction::Kind::UnifyLocs, Rho, RhoPrime},
+                 {CondAction::Kind::AddEdge, Subject, P}};
+    CS.addConditional(std::move(C));
+  }
+  return F;
+}
+
+TEST(SolverConditional, FiredEdgesRebuildOncePerRound) {
+  constexpr unsigned K = 10;
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  FailingConfines F = buildFailingConfines(Locs, CS, K);
+  TraceSink Trace;
+  {
+    TraceScope Scope(Trace);
+    CS.solve();
+  }
+  ASSERT_EQ(Trace.numDropped(), 0u);
+  ASSERT_EQ(CS.stats().CondFirings, K);
+  // One build before the first round and one per firing round, not one
+  // per fired edge.
+  EXPECT_LE(countSpans(Trace, "solver-condense"), CS.stats().Rounds + 1);
+  // Each subject's write crossed its fired edge and reached the sink.
+  for (LocId Own : F.SubjectLocs)
+    EXPECT_TRUE(CS.member(EffectKind::Write, Own, F.Sink)) << Own;
+  expectThreeWayAgreement(CS, 1, 1, "failing confines");
+}
+
+// A -> B -> C -> D are plain edges; a conditional fired by C's solution
+// adds C <= A, closing the cycle A, B, C. A second firing in the same
+// round inserts a fresh element into B, the middle of the future cycle.
+// The round keeps the three separate components; the round-end rebuild
+// merges them and re-queues the union, so all three (and D) end with one
+// solution.
+TEST(SolverConditional, FiredEdgeClosingACycleMergesAtRoundEnd) {
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  LocId LA = Locs.fresh(), LB = Locs.fresh(), LC = Locs.fresh(),
+        LX = Locs.fresh();
+  EffVar A = CS.makeVar(), B = CS.makeVar(), C = CS.makeVar(),
+         D = CS.makeVar();
+  CS.addEdge(A, B);
+  CS.addEdge(B, C);
+  CS.addEdge(C, D);
+  CS.addElement(EffectKind::Read, LA, A);
+  CS.addElement(EffectKind::Write, LB, B);
+  CS.addElement(EffectKind::Alloc, LC, C);
+  for (CondAction Act : {CondAction{CondAction::Kind::AddEdge, C, A},
+                         CondAction{CondAction::Kind::AddElemAllKinds, LX,
+                                    B}}) {
+    CondConstraint Cond;
+    Cond.P = CondConstraint::Premise::LocInVar;
+    Cond.Rho = LA;
+    Cond.Var = C;
+    Cond.Actions.push_back(Act);
+    CS.addConditional(std::move(Cond));
+  }
+  TraceSink Trace;
+  {
+    TraceScope Scope(Trace);
+    CS.solve();
+  }
+  EXPECT_EQ(CS.stats().CondFirings, 2u);
+  EXPECT_LE(countSpans(Trace, "solver-condense"), CS.stats().Rounds + 1);
+  EXPECT_TRUE(CS.solution(A) == CS.solution(B));
+  EXPECT_TRUE(CS.solution(B) == CS.solution(C));
+  EXPECT_TRUE(CS.member(EffectKind::Alloc, LC, A));
+  EXPECT_TRUE(CS.member(EffectKind::Read, LX, A));
+  EXPECT_TRUE(CS.member(EffectKind::Read, LX, D));
+  EXPECT_GT(expectThreeWayAgreement(CS, 1, 1, "cycle-closing edge"), 0u);
+}
+
+// Chain A -(fired)-> B -> C. Later in the round that fires A <= B, two
+// more firings put elements into A's component: a seed action and a
+// second fired edge D <= A. They arrive after A's solution crossed the
+// new edge explicitly, so only A's Pending list, carried across the
+// round-end rebuild, takes them on to B and C.
+TEST(SolverConditional, ElementsAfterAFiredEdgeCrossItAfterTheRebuild) {
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  LocId LT = Locs.fresh(), LA = Locs.fresh(), LN = Locs.fresh(),
+        LD = Locs.fresh();
+  EffVar T = CS.makeVar(), A = CS.makeVar(), B = CS.makeVar(),
+         C = CS.makeVar(), D = CS.makeVar();
+  CS.addElement(EffectKind::Read, LT, T);
+  CS.addElement(EffectKind::Read, LA, A);
+  CS.addElement(EffectKind::Write, LD, D);
+  CS.addEdge(B, C);
+  for (CondAction Act :
+       {CondAction{CondAction::Kind::AddEdge, A, B},
+        CondAction{CondAction::Kind::AddElemAllKinds, LN, A},
+        CondAction{CondAction::Kind::AddEdge, D, A}}) {
+    CondConstraint Cond;
+    Cond.P = CondConstraint::Premise::LocInVar;
+    Cond.Rho = LT;
+    Cond.Var = T;
+    Cond.Actions.push_back(Act);
+    CS.addConditional(std::move(Cond));
+  }
+  TraceSink Trace;
+  {
+    TraceScope Scope(Trace);
+    CS.solve();
+  }
+  EXPECT_EQ(CS.stats().CondFirings, 3u);
+  EXPECT_EQ(CS.stats().Rounds, 2u);
+  EXPECT_LE(countSpans(Trace, "solver-condense"), CS.stats().Rounds + 1);
+  for (EffVar V : {B, C}) {
+    EXPECT_TRUE(CS.member(EffectKind::Read, LA, V)) << V;
+    EXPECT_TRUE(CS.member(EffectKind::Alloc, LN, V)) << V;
+    EXPECT_TRUE(CS.member(EffectKind::Write, LD, V)) << V;
+  }
+  EXPECT_GT(expectThreeWayAgreement(CS, 1, 1, "pending carry"), 0u);
+}
+
+// A budget abort can land between a fired edge and the round-end
+// rebuild. Sweep every MaxSteps cap over a firing system; after each
+// abort, CHECK-SAT must see every edge fired so far (reaches() equals
+// explainReach), and the partial least solution may lag behind but
+// never claims an element the graph cannot derive (member() implies
+// explainReach).
+TEST(SolverConditional, AbortMidRoundLeavesNoStaleCondensation) {
+  constexpr unsigned K = 8;
+  uint64_t Total = 0;
+  {
+    LocTable Locs;
+    ConstraintSystem CS(Locs);
+    buildFailingConfines(Locs, CS, K);
+    ResourceBudget Budget;
+    ResourceLimits Limits;
+    Limits.MaxSteps = ~0ull >> 1;
+    Budget.arm(Limits);
+    BudgetScope Scope(Budget);
+    CS.solve();
+    Total = Budget.steps();
+  }
+  ASSERT_GT(Total, uint64_t{K});
+  uint64_t MidRound = 0;
+  for (uint64_t Cap = 1; Cap < Total; ++Cap) {
+    LocTable Locs;
+    ConstraintSystem CS(Locs);
+    buildFailingConfines(Locs, CS, K);
+    bool Aborted = false;
+    {
+      ResourceBudget Budget;
+      ResourceLimits Limits;
+      Limits.MaxSteps = Cap;
+      Budget.arm(Limits);
+      BudgetScope Scope(Budget);
+      try {
+        CS.solve();
+      } catch (const AnalysisAbort &) {
+        Aborted = true;
+      }
+    }
+    ASSERT_TRUE(Aborted) << "cap " << Cap;
+    MidRound += CS.stats().CondFirings > 0 && CS.stats().CondFirings < K;
+    uint64_t Bad = 0;
+    for (EffVar V = 0; V < CS.numVars(); ++V)
+      for (LocId L = 0; L < Locs.size(); ++L)
+        for (EffectKind Kind :
+             {EffectKind::Read, EffectKind::Write, EffectKind::Alloc}) {
+          bool Reference = !CS.explainReach(Kind, L, V).empty();
+          bool Reaches = CS.reaches(Kind, L, V);
+          bool Member = CS.member(Kind, L, V);
+          if (Reaches == Reference && (!Member || Reference))
+            continue;
+          if (++Bad <= 3)
+            ADD_FAILURE() << "cap " << Cap << ": kind "
+                          << static_cast<int>(Kind) << ", loc " << L
+                          << ", var " << V << ": reaches " << Reaches
+                          << ", member " << Member << ", explainReach "
+                          << Reference;
+        }
+    EXPECT_EQ(Bad, 0u) << "cap " << Cap;
+  }
+  // The sweep did land between fired edges and their rebuild.
+  EXPECT_GT(MidRound, 0u);
 }
 
 //===----------------------------------------------------------------------===//

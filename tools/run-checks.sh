@@ -36,12 +36,16 @@
 #     and CSR-graph indexing), and a precision-differential fuzz smoke
 #     cross-checking the two backends' refinement contract.
 #  7. Solver stage: the `solver`-labeled suite under asan-ubsan (SCC
-#     condensation, small-set spill boundaries, quantile edges, and
+#     condensation, small-set spill boundaries, quantile edges,
 #     least-solution/CHECK-SAT agreement with explainReach's uncollapsed
 #     traversal on every fixture and the generated corpus, in checking
-#     and inference mode under both alias backends), then a
-#     solver-agreement fuzz smoke that makes the same comparison on the
-#     final graphs of random checking and inference runs.
+#     and inference mode under both alias backends, one condensation
+#     rebuild per firing round with the cycle-merge and Pending-carry
+#     cases, and a MaxSteps sweep showing an abort mid-round leaves no
+#     stale condensation), then a solver-agreement fuzz smoke that makes
+#     the same comparison on the final graphs of random checking and
+#     inference runs, and an inference-maximality fuzz smoke, since the
+#     firing schedule is the solver's to choose.
 #  8. Chaos stage: the `supervisor`-labeled suite under asan-ubsan
 #     (fork/exec, pipe-protocol parsing of untrusted worker bytes,
 #     signal handling), then a full-corpus chaos audit: every module
@@ -176,6 +180,10 @@ ctest --test-dir build-asan-ubsan --output-on-failure -L solver
 
 echo "== asan-ubsan: solver-agreement fuzz smoke =="
 ./build-asan-ubsan/tools/lna-fuzz --oracle=solver-agreement --seed=3 \
+  --runs=200 --max-seconds=30
+
+echo "== asan-ubsan: inference-maximality fuzz smoke =="
+./build-asan-ubsan/tools/lna-fuzz --oracle=inference-maximality --seed=3 \
   --runs=200 --max-seconds=30
 
 echo "== asan-ubsan: supervisor suite =="
