@@ -25,7 +25,6 @@
 #include <fcntl.h>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <unistd.h>
 #include <unordered_map>
@@ -135,10 +134,13 @@ lna::analyzeModuleAllModes(const std::string &Source,
   return Out;
 }
 
-std::string lna::moduleContentDigest(const ModuleSpec &Spec,
-                                     const ExperimentOptions &Opts) {
-  // Both mode pipelines of analyzeModuleAllModes participate: an option
-  // change to either invalidates the module's cached/journaled outcome.
+namespace {
+
+/// Feeds the run configuration into \p D: the analyzer version and the
+/// canonical option fingerprints of both mode pipelines of
+/// analyzeModuleAllModes, so an option change to either invalidates the
+/// module's cached or journaled outcome and every shard digest.
+void updateRunConfig(ContentDigest &D, const ExperimentOptions &Opts) {
   PipelineOptions Check;
   Check.Mode = PipelineMode::CheckAnnotations;
   Check.Limits = Opts.Limits;
@@ -146,36 +148,37 @@ std::string lna::moduleContentDigest(const ModuleSpec &Spec,
   PipelineOptions Infer;
   Infer.Limits = Opts.Limits;
   Infer.AliasBackend = Opts.AliasBackend;
-  ContentDigest D;
   D.update(std::string_view(AnalyzerVersion));
   D.update(canonicalOptionsFingerprint(Check));
   D.update(canonicalOptionsFingerprint(Infer));
+}
+
+} // namespace
+
+std::string lna::moduleContentDigest(const ModuleSpec &Spec,
+                                     const ExperimentOptions &Opts) {
+  ContentDigest D;
+  updateRunConfig(D, Opts);
   D.update(Spec.Source);
   D.update(Spec.LoadError);
   return D.hex();
 }
 
 std::string lna::experimentOptionsDigest(const ExperimentOptions &Opts) {
-  PipelineOptions Check;
-  Check.Mode = PipelineMode::CheckAnnotations;
-  Check.Limits = Opts.Limits;
-  Check.AliasBackend = Opts.AliasBackend;
-  PipelineOptions Infer;
-  Infer.Limits = Opts.Limits;
-  Infer.AliasBackend = Opts.AliasBackend;
   ContentDigest D;
-  D.update(std::string_view(AnalyzerVersion));
-  D.update(canonicalOptionsFingerprint(Check));
-  D.update(canonicalOptionsFingerprint(Infer));
+  updateRunConfig(D, Opts);
   return D.hex();
 }
 
 std::string lna::serializeModuleOutcome(const ModuleOutcome &O,
-                                        uint32_t Index) {
+                                        uint32_t Index, bool WithMetrics,
+                                        bool WithStats) {
   const ModuleModeResult &R = O.R;
-  std::string Stats = R.Stats.empty() ? std::string() : R.Stats.serialize();
-  std::string Metrics =
-      R.Metrics.empty() ? std::string() : R.Metrics.serialize();
+  std::string Stats =
+      !WithStats || R.Stats.empty() ? std::string() : R.Stats.serialize();
+  std::string Metrics = WithMetrics || !R.Metrics.empty()
+                            ? R.Metrics.serialize()
+                            : std::string();
   std::string Out = "outcome 2 ";
   Out += std::to_string(Index);
   Out += ' ';
@@ -215,7 +218,8 @@ std::string lna::serializeModuleOutcome(const ModuleOutcome &O,
 }
 
 WireParse lna::parseModuleOutcome(std::string_view Buf, size_t &Consumed,
-                                  uint32_t &Index, ModuleOutcome &O) {
+                                  uint32_t &Index, ModuleOutcome &O,
+                                  bool *HasMetrics) {
   // An outcome header is a handful of decimal fields; anything that has
   // not produced its newline within 256 bytes is not a record.
   size_t NL = Buf.find('\n');
@@ -280,6 +284,8 @@ WireParse lna::parseModuleOutcome(std::string_view Buf, size_t &Consumed,
   Index = static_cast<uint32_t>(Idx);
   O = std::move(Out);
   Consumed = Pos;
+  if (HasMetrics)
+    *HasMetrics = MetricsLen != 0;
   return WireParse::Ok;
 }
 
@@ -287,12 +293,7 @@ uint64_t lna::moduleFaultSeed(uint64_t Base, const std::string &Name,
                               unsigned Attempt) {
   // FNV-1a over the module *name*: stable across job counts, module
   // subsets, and checkpoint resume (unlike an index-based seed).
-  uint64_t H = 1469598103934665603ULL;
-  for (char C : Name) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ULL;
-  }
-  return H ^ (Base * 0x9e3779b97f4a7c15ULL) ^
+  return fnv1a(Name) ^ (Base * 0x9e3779b97f4a7c15ULL) ^
          (static_cast<uint64_t>(Attempt + 1) << 32);
 }
 
@@ -327,87 +328,146 @@ std::string lna::sanitizeModuleName(const std::string &Name) {
 
 namespace {
 
-bool looksLikeDigest(const std::string &S) {
-  if (S.size() != 32)
+//===----------------------------------------------------------------------===//
+// Persisted outcomes: result-cache entries and checkpoint journal rows
+//===----------------------------------------------------------------------===//
+//
+// Both persist a module outcome as one serializeModuleOutcome record with
+// no SessionStats (timing-bearing by definition, so cache hits and
+// resumed modules contribute nothing to the timing sections) and, when
+// the producing run collected metrics, a metrics blob even for an empty
+// registry, so a warm or resumed metrics run merges byte-identical
+// registries in module order.
+
+/// The outcomes the result cache may store: reproducible from the source
+/// and options alone. Budget aborts, internal errors and quarantines are
+/// not (the checkpoint journal keeps every completed outcome).
+bool isDeterministic(const ModuleModeResult &R) {
+  return R.Ok || R.Failure == FailureKind::ParseError ||
+         R.Failure == FailureKind::TypeError;
+}
+
+std::string persistedRecord(const ModuleOutcome &O, bool WithMetrics) {
+  return serializeModuleOutcome(O, /*Index=*/0, WithMetrics,
+                                /*WithStats=*/false);
+}
+
+/// Restores a persisted record that must span exactly \p Bytes into
+/// \p O. Fails when the bytes are not one record or the record cannot
+/// serve this run: a metrics run needs a record written with metrics,
+/// and a run without metrics drops them. The flags describing the run
+/// that wrote the record (cache use, trace and store failures) are
+/// cleared; callers mark the restore as a cache hit or a resume.
+bool restorePersisted(std::string_view Bytes, bool WantMetrics,
+                      ModuleOutcome &O) {
+  size_t Consumed = 0;
+  uint32_t Index = 0;
+  bool HasMetrics = false;
+  ModuleOutcome R;
+  if (parseModuleOutcome(Bytes, Consumed, Index, R, &HasMetrics) !=
+          WireParse::Ok ||
+      Consumed != Bytes.size() || (WantMetrics && !HasMetrics))
     return false;
-  for (char C : S)
-    if (!((C >= '0' && C <= '9') || (C >= 'a' && C <= 'f')))
-      return false;
+  if (!WantMetrics)
+    R.R.Metrics = MetricsRegistry();
+  R.Cache = CacheUse::None;
+  R.TraceWriteFailed = false;
+  R.CacheStoreFailed = false;
+  O = std::move(R);
   return true;
 }
 
-/// The integrity sentinel ending every journal row. A row whose final
-/// write was torn by a kill (or by a filesystem that persisted only a
-/// prefix) lacks it and is skipped on resume.
-constexpr const char *JournalRowEnd = "end";
+/// Reads one journal row's "checkpoint <name-len> <digest-len>\n<name>
+/// <digest>" prefix at the front of \p Buf. False when the prefix is
+/// incomplete (a torn tail) or is not one (garbage, an older format).
+bool readJournalPrefix(std::string_view Buf, size_t &Consumed,
+                       std::string_view &Name, std::string_view &Digest) {
+  size_t NL = Buf.find('\n');
+  if (NL == std::string_view::npos || NL > 64)
+    return false;
+  unsigned long long NameLen = 0, DigestLen = 0;
+  int Used = 0;
+  std::string Header(Buf.substr(0, NL));
+  size_t Avail = Buf.size() - NL - 1;
+  if (std::sscanf(Header.c_str(), "checkpoint %llu %llu%n", &NameLen,
+                  &DigestLen, &Used) != 2 ||
+      static_cast<size_t>(Used) != NL || NameLen > Avail ||
+      DigestLen > Avail - NameLen)
+    return false;
+  Name = Buf.substr(NL + 1, NameLen);
+  Digest = Buf.substr(NL + 1 + NameLen, DigestLen);
+  Consumed = NL + 1 + NameLen + DigestLen;
+  return true;
+}
 
 } // namespace
 
-std::unordered_map<std::string, CheckpointRow>
-lna::loadCheckpointJournal(const std::string &Path) {
-  std::unordered_map<std::string, CheckpointRow> Rows;
-  std::ifstream In(Path);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    std::istringstream Fields(Line);
-    std::string Name, Status;
-    CheckpointRow Row;
-    int Retried = 0;
-    if (!std::getline(Fields, Name, '\t') ||
-        !std::getline(Fields, Row.Digest, '\t') ||
-        !std::getline(Fields, Status, '\t'))
-      continue;
-    if (!looksLikeDigest(Row.Digest))
-      continue;
-    if (!(Fields >> Retried >> Row.Counts.NoConfine >>
-          Row.Counts.ConfineInference >> Row.Counts.AllStrong))
-      continue;
-    // The sentinel must be the row's last token: a numeric field torn
-    // mid-digit would still parse above, so "all fields present" is not
-    // the same thing as "the row was written completely".
-    std::string End, Extra;
-    if (!(Fields >> End) || End != JournalRowEnd || (Fields >> Extra))
-      continue;
-    if (Status == "ok")
-      Row.Failure = FailureKind::None;
-    else if (!failureKindFromName(Status, Row.Failure))
-      continue;
-    Row.Retried = Retried != 0;
-    Rows[Name] = Row;
-  }
-  return Rows;
-}
-
 CheckpointJournal::~CheckpointJournal() { close(); }
 
-bool CheckpointJournal::open(const std::string &Path) {
+void CheckpointJournal::resume(const std::vector<ModuleSpec> &Corpus,
+                               const ExperimentOptions &Opts,
+                               std::vector<ModuleOutcome> &Out) {
   close();
-  Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  return Fd >= 0;
+  if (Opts.CheckpointFile.empty())
+    return;
+  this->Corpus = &Corpus;
+  WithMetrics = Opts.CollectMetrics;
+  Digests.clear();
+  for (const ModuleSpec &Spec : Corpus)
+    Digests.push_back(moduleContentDigest(Spec, Opts));
+
+  std::ifstream In(Opts.CheckpointFile, std::ios::binary);
+  std::string Bytes((std::istreambuf_iterator<char>(In)),
+                    std::istreambuf_iterator<char>());
+  // Each module's latest complete row: (digest, outcome record).
+  std::unordered_map<std::string_view,
+                     std::pair<std::string_view, std::string_view>>
+      Latest;
+  std::string_view Rest(Bytes);
+  for (;;) {
+    size_t PrefixLen = 0, RecordLen = 0;
+    std::string_view Name, Digest;
+    uint32_t Index = 0;
+    ModuleOutcome Parsed;
+    if (!readJournalPrefix(Rest, PrefixLen, Name, Digest) ||
+        parseModuleOutcome(Rest.substr(PrefixLen), RecordLen, Index,
+                           Parsed) != WireParse::Ok)
+      break;
+    Latest[Name] = {Digest, Rest.substr(PrefixLen, RecordLen)};
+    Rest.remove_prefix(PrefixLen + RecordLen);
+  }
+  for (size_t I = 0; I < Corpus.size(); ++I) {
+    auto It = Latest.find(Corpus[I].Name);
+    if (It != Latest.end() && It->second.first == Digests[I] &&
+        restorePersisted(It->second.second, WithMetrics, Out[I]))
+      Out[I].Resumed = true;
+  }
+
+  Fd = ::open(Opts.CheckpointFile.c_str(), O_WRONLY | O_CREAT | O_APPEND,
+              0644);
+  // Cut a torn or unreadable tail: a row appended after it would be
+  // misframed by the next resume.
+  if (Fd >= 0 && !Rest.empty() &&
+      ::ftruncate(Fd, static_cast<off_t>(Bytes.size() - Rest.size())) != 0)
+    close();
+  if (Fd < 0)
+    std::fprintf(stderr,
+                 "lna-corpus: warning: cannot append to checkpoint '%s'\n",
+                 Opts.CheckpointFile.c_str());
 }
 
-void CheckpointJournal::append(const std::string &Name,
-                               const std::string &Digest,
-                               const ModuleOutcome &O) {
+void CheckpointJournal::append(size_t I, const ModuleOutcome &O) {
   if (Fd < 0)
     return;
-  const ModuleModeResult &R = O.R;
-  std::string Row = Name;
-  Row += '\t';
-  Row += Digest;
-  Row += '\t';
-  Row += R.Ok ? "ok" : failureKindName(R.Failure);
-  Row += '\t';
-  Row += O.Retried ? '1' : '0';
-  Row += '\t';
-  Row += std::to_string(R.Counts.NoConfine);
-  Row += '\t';
-  Row += std::to_string(R.Counts.ConfineInference);
-  Row += '\t';
-  Row += std::to_string(R.Counts.AllStrong);
-  Row += '\t';
-  Row += JournalRowEnd;
+  const std::string &Name = (*Corpus)[I].Name;
+  std::string Row = "checkpoint ";
+  Row += std::to_string(Name.size());
+  Row += ' ';
+  Row += std::to_string(Digests[I].size());
   Row += '\n';
+  Row += Name;
+  Row += Digests[I];
+  Row += persistedRecord(O, WithMetrics);
   std::lock_guard<std::mutex> Lock(Mutex);
   // One write per row (O_APPEND keeps concurrent appenders from
   // interleaving), then fsync: the row only counts as durable once it
@@ -425,95 +485,6 @@ void CheckpointJournal::close() {
 }
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Module cache entries
-//===----------------------------------------------------------------------===//
-//
-// A deterministic module outcome serializes as one header line plus
-// three length-framed blobs:
-//
-//   module 1 <ok> <failure-kind> <no-confine> <confine-inf> <all-strong>
-//            <error-len> <phase-len> <metrics-len>\n
-//   <error-bytes><failed-phase-bytes><metrics-bytes>
-//
-// The metrics blob is a serialized MetricsRegistry (present only when
-// the producing run collected metrics), so a warm metrics run merges
-// byte-identical registries in module order. Entries carry everything
-// the aggregation consumes except SessionStats, which is timing-bearing
-// by definition and -- like checkpoint-resumed rows -- contributes
-// nothing for cache hits.
-
-std::string serializeModuleEntry(const ModuleModeResult &R,
-                                 bool WithMetrics) {
-  std::string Metrics = WithMetrics ? R.Metrics.serialize() : std::string();
-  std::string Out = "module 1 ";
-  Out += R.Ok ? "1" : "0";
-  Out += ' ';
-  Out += failureKindName(R.Failure);
-  Out += ' ';
-  Out += std::to_string(R.Counts.NoConfine);
-  Out += ' ';
-  Out += std::to_string(R.Counts.ConfineInference);
-  Out += ' ';
-  Out += std::to_string(R.Counts.AllStrong);
-  Out += ' ';
-  Out += std::to_string(R.Error.size());
-  Out += ' ';
-  Out += std::to_string(R.FailedPhase.size());
-  Out += ' ';
-  Out += std::to_string(Metrics.size());
-  Out += '\n';
-  Out += R.Error;
-  Out += R.FailedPhase;
-  Out += Metrics;
-  return Out;
-}
-
-/// Restores a cached entry into \p R (callers pass a fresh result and
-/// discard it on failure). Returns false when the entry does not parse
-/// or cannot serve this run -- notably an entry stored without metrics
-/// consulted by a metrics-collecting run.
-bool restoreModuleEntry(const std::string &Entry, bool WantMetrics,
-                        ModuleModeResult &R) {
-  unsigned long long Ver = 0, Ok = 0, NC = 0, CI = 0, AS = 0;
-  unsigned long long ErrLen = 0, PhaseLen = 0, MetricsLen = 0;
-  char Kind[32] = {0};
-  int Used = 0;
-  if (std::sscanf(Entry.c_str(), "module %llu %llu %31s %llu %llu %llu %llu "
-                                 "%llu %llu\n%n",
-                  &Ver, &Ok, Kind, &NC, &CI, &AS, &ErrLen, &PhaseLen,
-                  &MetricsLen, &Used) != 9 ||
-      Ver != 1 || Used <= 0)
-    return false;
-  size_t Pos = static_cast<size_t>(Used);
-  size_t Rest = Entry.size() - Pos;
-  if (ErrLen > Rest || PhaseLen > Rest - ErrLen ||
-      MetricsLen != Rest - ErrLen - PhaseLen)
-    return false;
-  FailureKind FK = FailureKind::None;
-  if (!failureKindFromName(Kind, FK))
-    return false;
-  // Only deterministic outcomes are ever stored; anything else means
-  // corruption (the envelope checksum makes this nearly unreachable).
-  if (!(Ok ? FK == FailureKind::None
-           : (FK == FailureKind::ParseError || FK == FailureKind::TypeError)))
-    return false;
-  if (WantMetrics && MetricsLen == 0)
-    return false;
-  R.Ok = Ok != 0;
-  R.Failure = FK;
-  R.Counts.NoConfine = static_cast<uint32_t>(NC);
-  R.Counts.ConfineInference = static_cast<uint32_t>(CI);
-  R.Counts.AllStrong = static_cast<uint32_t>(AS);
-  R.Error = Entry.substr(Pos, ErrLen);
-  R.FailedPhase = Entry.substr(Pos + ErrLen, PhaseLen);
-  if (WantMetrics &&
-      !R.Metrics.deserialize(
-          std::string_view(Entry).substr(Pos + ErrLen + PhaseLen, MetricsLen)))
-    return false;
-  return true;
-}
 
 /// Chains the flight recorder in front of an (optional) fault injector
 /// at every phase-boundary site: the recorder first persists the spans
@@ -562,11 +533,14 @@ ModuleOutcome lna::runModuleGoverned(const ModuleSpec &Spec,
     // file) but still store below, warming the cache for later runs.
     if (Opts.TraceDir.empty()) {
       if (std::optional<std::string> Entry = Opts.Cache->load(Key)) {
-        ModuleModeResult R;
-        if (restoreModuleEntry(*Entry, Opts.CollectMetrics, R)) {
-          Slot.Cache = CacheUse::Hit;
-          Slot.R = std::move(R);
-          return Slot;
+        // Only deterministic outcomes are ever stored; anything else
+        // means corruption (the envelope checksum makes this nearly
+        // unreachable).
+        ModuleOutcome Hit;
+        if (restorePersisted(*Entry, Opts.CollectMetrics, Hit) &&
+            isDeterministic(Hit.R)) {
+          Hit.Cache = CacheUse::Hit;
+          return Hit;
         }
         Opts.Cache->noteSemanticStale();
         Slot.Cache = CacheUse::Stale;
@@ -651,21 +625,10 @@ ModuleOutcome lna::runModuleGoverned(const ModuleSpec &Spec,
   Finish();
   // Memoize deterministic outcomes only. A retried-then-succeeded module
   // still ran under fault injection, which already disabled the cache.
-  if (!Key.empty() &&
-      (Slot.R.Ok || Slot.R.Failure == FailureKind::ParseError ||
-       Slot.R.Failure == FailureKind::TypeError))
+  if (!Key.empty() && isDeterministic(Slot.R))
     Slot.CacheStoreFailed = !Opts.Cache->store(
-        Key, serializeModuleEntry(Slot.R, Opts.CollectMetrics));
+        Key, persistedRecord(Slot, Opts.CollectMetrics));
   return Slot;
-}
-
-void lna::restoreFromCheckpoint(ModuleOutcome &Slot,
-                                const CheckpointRow &Row) {
-  Slot.Resumed = true;
-  Slot.Retried = Row.Retried;
-  Slot.R.Ok = Row.Failure == FailureKind::None;
-  Slot.R.Failure = Row.Failure;
-  Slot.R.Counts = Row.Counts;
 }
 
 CorpusSummary
@@ -681,26 +644,13 @@ lna::runCorpusExperiment(const std::vector<ModuleSpec> &Corpus,
 
   // Checkpoint journal: previously completed modules are restored
   // instead of re-analyzed; newly completed modules are appended (each
-  // row fsync'ed with a trailing sentinel) as they finish, so a killed
-  // run loses at most the modules in flight.
-  std::unordered_map<std::string, CheckpointRow> Resumed;
+  // row fsync'ed) as they finish, so a killed run loses at most the
+  // modules in flight.
   CheckpointJournal Journal;
-  if (!Opts.CheckpointFile.empty()) {
-    Resumed = loadCheckpointJournal(Opts.CheckpointFile);
-    Journal.open(Opts.CheckpointFile);
-  }
+  Journal.resume(Corpus, Opts, Results);
   auto RunOne = [&](size_t I) {
     const ModuleSpec &Spec = Corpus[I];
-    std::string Digest;
-    if (!Opts.CheckpointFile.empty())
-      Digest = moduleContentDigest(Spec, Opts);
-    if (auto It = Resumed.find(Spec.Name);
-        It != Resumed.end() && It->second.Digest == Digest) {
-      // The journal row is fresh (same source, same options, same
-      // analyzer): restore it without recomputation. A digest mismatch
-      // -- the module changed between the kill and the resume -- falls
-      // through to a full re-analysis.
-      restoreFromCheckpoint(Results[I], It->second);
+    if (Results[I].Resumed) {
       if (Opts.Events)
         Opts.Events->event("module-resumed")
             .num("module", I)
@@ -714,7 +664,7 @@ lna::runCorpusExperiment(const std::vector<ModuleSpec> &Corpus,
           .num("module", I)
           .str("name", Spec.Name);
     Results[I] = runModuleGoverned(Spec, Opts);
-    Journal.append(Spec.Name, Digest, Results[I]);
+    Journal.append(I, Results[I]);
     if (Opts.Events)
       Opts.Events->event("module-complete")
           .num("module", I)

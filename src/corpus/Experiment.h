@@ -50,7 +50,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace lna {
@@ -109,10 +108,12 @@ enum class CacheUse : uint8_t {
 };
 
 /// Everything one module contributes to the aggregation: the analysis
-/// result plus the run-level flags. This is the unit the in-process
-/// runner, the process supervisor's wire protocol, and the shard record
-/// files all traffic in, so every execution shape aggregates through
-/// the same serial merge and produces byte-identical reports.
+/// result plus the run-level flags. This is the unit all five consumers
+/// traffic in -- the in-process runner, the process supervisor's wire
+/// protocol, the shard record files, the result cache's "m-" entries and
+/// the checkpoint journal -- so every execution shape aggregates through
+/// the same serial merge and produces byte-identical reports, and one
+/// record format (serializeModuleOutcome) persists it everywhere.
 struct ModuleOutcome {
   ModuleModeResult R;
   bool Retried = false;
@@ -132,8 +133,14 @@ struct ModuleOutcome {
 ///   <error><failed-phase><stats><metrics>
 ///
 /// \p Index is the module's position in the full corpus (global, so
-/// shard files can be merged back into corpus order).
-std::string serializeModuleOutcome(const ModuleOutcome &O, uint32_t Index);
+/// shard files can be merged back into corpus order). An empty metrics
+/// registry is dropped unless \p WithMetrics, which writes it anyway so
+/// a reader can tell "collected, empty" from "not collected".
+/// \p WithStats = false drops the timing-bearing SessionStats: the
+/// persisted records (cache entries, journal rows) never carry them.
+std::string serializeModuleOutcome(const ModuleOutcome &O, uint32_t Index,
+                                   bool WithMetrics = false,
+                                   bool WithStats = true);
 
 /// Result of an incremental parse over a byte stream.
 enum class WireParse : uint8_t {
@@ -142,9 +149,12 @@ enum class WireParse : uint8_t {
   Corrupt,  ///< the buffer cannot be (a prefix of) a valid record
 };
 
-/// Parses one serialized outcome record at the front of \p Buf.
+/// Parses one serialized outcome record at the front of \p Buf. When
+/// \p HasMetrics is non-null it is set to whether the record carried a
+/// metrics blob (possibly of an empty registry).
 WireParse parseModuleOutcome(std::string_view Buf, size_t &Consumed,
-                             uint32_t &Index, ModuleOutcome &O);
+                             uint32_t &Index, ModuleOutcome &O,
+                             bool *HasMetrics = nullptr);
 
 /// One row of the experiment.
 struct ModuleResult {
@@ -157,8 +167,8 @@ struct ModuleResult {
   FailureKind Failure = FailureKind::None;
   /// Whether the module's analysis was retried after a transient failure.
   bool Retried = false;
-  /// Failure detail for stderr reporting (empty for resumed rows; not
-  /// part of the deterministic report).
+  /// Failure detail for stderr reporting (not part of the
+  /// deterministic report).
   std::string Error;
 };
 
@@ -271,8 +281,9 @@ struct ExperimentOptions {
   /// transient (InternalError).
   bool RetryTransient = true;
   /// When nonempty, completed modules are journaled here as they finish
-  /// and previously journaled modules are restored instead of
-  /// re-analyzed, making a killed run resumable.
+  /// and previously journaled modules are restored (with their metrics)
+  /// instead of re-analyzed, making a killed run resumable (see
+  /// CheckpointJournal).
   std::string CheckpointFile;
   /// Collect per-module solver metrics and merge them (serially, in
   /// module order) into CorpusSummary::Metrics.
@@ -341,35 +352,17 @@ CorpusSummary aggregateModuleOutcomes(const std::vector<ModuleSpec> &Corpus,
 // Checkpoint journal
 //===----------------------------------------------------------------------===//
 
-/// One journaled checkpoint row. A resumed run restores the row only
-/// when the stored digest still equals the module's current
-/// moduleContentDigest: a module whose source or options changed
-/// between the kill and the resume is re-analyzed, never trusted.
-struct CheckpointRow {
-  std::string Digest;
-  FailureKind Failure = FailureKind::None; ///< None = succeeded
-  bool Retried = false;
-  ModeCounts Counts;
-};
-
-/// Loads a checkpoint journal (silently empty when the file does not
-/// exist yet). Malformed or torn rows -- including a final line cut
-/// short by a kill mid-write -- are skipped, so the corresponding
-/// modules are simply re-analyzed; every accepted row carries the
-/// trailing integrity sentinel the writer appends.
-std::unordered_map<std::string, CheckpointRow>
-loadCheckpointJournal(const std::string &Path);
-
-/// Restores a fresh checkpoint row into an outcome slot (marked
-/// Resumed). Per-phase stats of resumed modules are gone, which only
-/// affects the (timing-bearing, non-deterministic) stats section, never
-/// the report. Shared by the in-process runner and the supervisor.
-void restoreFromCheckpoint(ModuleOutcome &Slot, const CheckpointRow &Row);
-
-/// Appending, durable checkpoint writer: every row is written with a
-/// trailing sentinel in one write(2) and fsync'ed before append()
+/// The checkpoint journal of one run (ExperimentOptions::CheckpointFile),
+/// shared by the in-process runner and the supervisor. Each row is a
+/// length-framed prefix naming the module and its moduleContentDigest,
+/// followed by the module's outcome record (serializeModuleOutcome
+/// without SessionStats; with metrics when the run collects them):
+///
+///   checkpoint <name-len> <digest-len>\n<name><digest><outcome record>
+///
+/// Every row is written in one write(2) and fsync'ed before append()
 /// returns, so a row either survives a crash completely or is a torn
-/// tail the loader skips. Thread-safe.
+/// tail the loader stops at. Appends are thread-safe.
 class CheckpointJournal {
 public:
   CheckpointJournal() = default;
@@ -377,16 +370,27 @@ public:
   CheckpointJournal(const CheckpointJournal &) = delete;
   CheckpointJournal &operator=(const CheckpointJournal &) = delete;
 
-  /// Opens \p Path for appending; false when it cannot be written.
-  bool open(const std::string &Path);
-  bool isOpen() const { return Fd >= 0; }
-  /// Journals one completed module. No-op when not open.
-  void append(const std::string &Name, const std::string &Digest,
-              const ModuleOutcome &O);
+  /// No-op unless Opts.CheckpointFile is set. Loads the journal (none
+  /// yet is fine) and restores every module of \p Corpus whose latest
+  /// row is fresh into \p Out, marked Resumed: the stored digest equals
+  /// the module's current one (a module that changed between the kill
+  /// and the resume is re-analyzed, never trusted), and the row carries
+  /// metrics when the run collects them. Loading stops at the first row
+  /// that is torn, garbage or of an older format; the file is cut back
+  /// to the complete rows before it, so later appends stay readable,
+  /// and opened for appending (a warning on stderr when it cannot be).
+  void resume(const std::vector<ModuleSpec> &Corpus,
+              const ExperimentOptions &Opts, std::vector<ModuleOutcome> &Out);
+  /// Journals the completed outcome of module \p I of the resumed
+  /// corpus. No-op when not open.
+  void append(size_t I, const ModuleOutcome &O);
   void close();
 
 private:
   int Fd = -1;
+  bool WithMetrics = false;
+  const std::vector<ModuleSpec> *Corpus = nullptr;
+  std::vector<std::string> Digests;
   std::mutex Mutex;
 };
 

@@ -142,24 +142,13 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
   // Checkpoint resume happens in the supervisor, never in a worker: the
   // journal is a whole-run artifact, and restoring here means a resumed
   // run spawns workers only for the modules that still need analyzing.
-  std::vector<std::string> Digests(N);
   CheckpointJournal Journal;
-  if (!Opts.CheckpointFile.empty()) {
-    auto Resumed = loadCheckpointJournal(Opts.CheckpointFile);
-    for (size_t I = 0; I < N; ++I) {
-      Digests[I] = moduleContentDigest(Corpus[I], Opts);
-      auto It = Resumed.find(Corpus[I].Name);
-      if (It == Resumed.end() || It->second.Digest != Digests[I])
-        continue;
-      restoreFromCheckpoint(Outcomes[I], It->second);
+  Journal.resume(Corpus, Opts, Outcomes);
+  for (size_t I = 0; I < N; ++I)
+    if (Outcomes[I].Resumed) {
       Done[I] = 1;
       ++Completed;
     }
-    if (!Journal.open(Opts.CheckpointFile))
-      std::fprintf(stderr,
-                   "lna-corpus: warning: cannot append to checkpoint '%s'\n",
-                   Opts.CheckpointFile.c_str());
-  }
 
   // Created before any worker is spawned; its destructor cleans up after
   // every return below.
@@ -378,7 +367,7 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
         Done[Idx] = 1;
         ++Completed;
         ++Res.Stats.QuarantinedModules;
-        Journal.append(Corpus[Idx].Name, Digests[Idx], O);
+        Journal.append(Idx, O);
         if (Events)
           Events->event("module-quarantine")
               .num("module", Idx)
@@ -423,7 +412,7 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
     Outcomes[Idx] = std::move(O);
     Done[Idx] = 1;
     ++Completed;
-    Journal.append(Corpus[Idx].Name, Digests[Idx], Outcomes[Idx]);
+    Journal.append(Idx, Outcomes[Idx]);
     S.Busy = false;
     S.SawBegin = false;
     S.BackoffMs = 0; // a delivered outcome proves the worker is healthy

@@ -17,7 +17,7 @@
 /// allocation-free.
 ///
 /// Digests are rendered as fixed-width lowercase hex so they can be
-/// filesystem names and tab-separated journal fields.
+/// filesystem names and checkpoint journal fields.
 ///
 //===----------------------------------------------------------------------===//
 

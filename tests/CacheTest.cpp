@@ -480,3 +480,46 @@ TEST(CacheCorpus, DigestMatchesCheckpointDigest) {
   Changed.Source += "\n";
   EXPECT_NE(D, moduleContentDigest(Changed, Opts));
 }
+
+TEST(CacheCorpus, LegacyModuleEntryCountsStaleOnceThenHits) {
+  // Entries in the retired "module 1" format (same key, same analyzer
+  // version) cannot be read back: the first run counts one stale entry
+  // and overwrites it, and the next run hits.
+  std::vector<ModuleSpec> Corpus = corpusSlice(1);
+  CacheStore Store(tempDir("lna_cache_corpus_legacy"));
+  ASSERT_TRUE(Store.ok());
+  ExperimentOptions Opts = cachedOptions(Store);
+  ASSERT_TRUE(Store.store("m-" + moduleContentDigest(Corpus[0], Opts),
+                          "module 1 1 none 9 9 9 0 0 0\n"));
+  CorpusSummary First = runCorpusExperiment(Corpus, Opts);
+  EXPECT_EQ(First.CacheStale, 1u);
+  EXPECT_EQ(First.CacheHits, 0u);
+  CorpusSummary Second = runCorpusExperiment(Corpus, Opts);
+  EXPECT_EQ(Second.CacheStale, 0u);
+  EXPECT_EQ(Second.CacheHits, 1u);
+  CorpusSummary Fresh = runCorpusExperiment(Corpus, ExperimentOptions{});
+  EXPECT_EQ(renderCorpusReport(First), renderCorpusReport(Fresh));
+  EXPECT_EQ(renderCorpusReport(Second), renderCorpusReport(Fresh));
+}
+
+TEST(CacheCorpus, ParseErrorModuleWarmUnderMetricsIsAHit) {
+  // A parse error collects an empty metrics registry. The entry must
+  // still record that metrics were collected, or every warm metrics run
+  // would count it stale and re-analyze it.
+  ModuleSpec Broken;
+  Broken.Name = "drv_broken";
+  Broken.Source = "fun (";
+  std::vector<ModuleSpec> Corpus{Broken};
+  CacheStore Store(tempDir("lna_cache_corpus_parse_error"));
+  ASSERT_TRUE(Store.ok());
+  CorpusSummary Cold = runCorpusExperiment(Corpus, cachedOptions(Store));
+  ASSERT_EQ(Cold.FailuresByKind[static_cast<unsigned>(FailureKind::ParseError)],
+            1u);
+  EXPECT_TRUE(Cold.Metrics.empty());
+  EXPECT_EQ(Cold.CacheMisses, 1u);
+  CorpusSummary Warm = runCorpusExperiment(Corpus, cachedOptions(Store));
+  EXPECT_EQ(Warm.CacheHits, 1u);
+  EXPECT_EQ(Warm.CacheStale, 0u);
+  EXPECT_EQ(corpusReportJSON(Cold, false), corpusReportJSON(Warm, false));
+  EXPECT_EQ(Warm.Modules[0].Error, Cold.Modules[0].Error);
+}

@@ -514,6 +514,76 @@ TEST(CorpusRobustness, CheckpointResumeMatchesUninterruptedRun) {
   std::remove(Journal.c_str());
 }
 
+TEST(CorpusRobustness, CheckpointResumeKeepsMetrics) {
+  // Regression: journal rows once carried only the counts, so a resumed
+  // metrics run merged empty registries for every restored module.
+  std::string Journal = tempPath("lna_ckpt_metrics.txt");
+  std::remove(Journal.c_str());
+  std::vector<ModuleSpec> Full = corpusSlice(16);
+  std::vector<ModuleSpec> Half(Full.begin(), Full.begin() + 8);
+  ExperimentOptions Opts;
+  Opts.CollectMetrics = true;
+  Opts.CheckpointFile = Journal;
+  (void)runCorpusExperiment(Half, Opts);
+  CorpusSummary Resumed = runCorpusExperiment(Full, Opts);
+  EXPECT_EQ(Resumed.ResumedModules, 8u);
+
+  ExperimentOptions Fresh;
+  Fresh.CollectMetrics = true;
+  CorpusSummary Baseline = runCorpusExperiment(Full, Fresh);
+  EXPECT_EQ(Resumed.Metrics.renderJSON(), Baseline.Metrics.renderJSON());
+  EXPECT_EQ(renderCorpusReport(Resumed), renderCorpusReport(Baseline));
+  // Restored rows add nothing to the timing-bearing sections.
+  EXPECT_LT(Resumed.PhaseTimes.front().second.size(),
+            Baseline.PhaseTimes.front().second.size());
+  std::remove(Journal.c_str());
+}
+
+TEST(CorpusRobustness, ResumedRowsWithoutMetricsCannotServeAMetricsRun) {
+  std::string Journal = tempPath("lna_ckpt_nometrics.txt");
+  std::remove(Journal.c_str());
+  std::vector<ModuleSpec> Corpus = corpusSlice(4);
+  ExperimentOptions Opts;
+  Opts.CheckpointFile = Journal;
+  (void)runCorpusExperiment(Corpus, Opts);
+  // Rows written without metrics are re-analyzed by a metrics run ...
+  Opts.CollectMetrics = true;
+  CorpusSummary WithMetrics = runCorpusExperiment(Corpus, Opts);
+  EXPECT_EQ(WithMetrics.ResumedModules, 0u);
+  EXPECT_FALSE(WithMetrics.Metrics.empty());
+  // ... whose rows (with metrics) then serve both kinds of run, dropping
+  // the metrics for the run that did not ask for them.
+  EXPECT_EQ(runCorpusExperiment(Corpus, Opts).ResumedModules, 4u);
+  Opts.CollectMetrics = false;
+  CorpusSummary Plain = runCorpusExperiment(Corpus, Opts);
+  EXPECT_EQ(Plain.ResumedModules, 4u);
+  EXPECT_TRUE(Plain.Metrics.empty());
+  std::remove(Journal.c_str());
+}
+
+/// Hand-writes one checkpoint journal row: the length-framed name and
+/// digest, then the outcome record as the journal persists it.
+std::string journalRow(const std::string &Name, const std::string &Digest,
+                       const ModuleOutcome &O) {
+  std::string Row = "checkpoint ";
+  Row += std::to_string(Name.size());
+  Row += ' ';
+  Row += std::to_string(Digest.size());
+  Row += '\n';
+  Row += Name;
+  Row += Digest;
+  Row += serializeModuleOutcome(O, 0, /*WithMetrics=*/false,
+                                /*WithStats=*/false);
+  return Row;
+}
+
+ModuleOutcome forgedOutcome(uint32_t NC, uint32_t CI, uint32_t AS) {
+  ModuleOutcome O;
+  O.R.Ok = true;
+  O.R.Counts = {NC, CI, AS};
+  return O;
+}
+
 TEST(CorpusRobustness, CheckpointRowsWithFreshDigestRestoreWithoutRecompute) {
   std::string Journal = tempPath("lna_ckpt_trust.txt");
   std::vector<ModuleSpec> Corpus = corpusSlice(2);
@@ -523,9 +593,9 @@ TEST(CorpusRobustness, CheckpointRowsWithFreshDigestRestoreWithoutRecompute) {
     // A forged journal row with counts no real analysis would produce,
     // but carrying the module's true content digest: if the counts show
     // up verbatim, the module was restored, not re-run.
-    std::ofstream Out(Journal, std::ios::trunc);
-    Out << Corpus[0].Name << '\t' << moduleContentDigest(Corpus[0], Opts)
-        << "\tok\t0\t77\t66\t55\tend\n";
+    std::ofstream Out(Journal, std::ios::binary | std::ios::trunc);
+    Out << journalRow(Corpus[0].Name, moduleContentDigest(Corpus[0], Opts),
+                      forgedOutcome(77, 66, 55));
   }
   CorpusSummary S = runCorpusExperiment(Corpus, Opts);
   EXPECT_EQ(S.ResumedModules, 1u);
@@ -577,19 +647,47 @@ TEST(CorpusRobustness, MalformedJournalLinesAreSkipped) {
   std::vector<ModuleSpec> Corpus = corpusSlice(3);
   ExperimentOptions Opts;
   Opts.CheckpointFile = Journal;
+  std::string Report = renderCorpusReport(runCorpusExperiment(Corpus, {}));
+  auto OldFormatRow = [&](size_t I) {
+    return Corpus[I].Name + "\t" + moduleContentDigest(Corpus[I], Opts) +
+           "\tok\t0\t1\t1\t1\tend\n";
+  };
+  auto Resume = [&](const std::string &Bytes) {
+    {
+      std::ofstream Out(Journal, std::ios::binary | std::ios::trunc);
+      Out << Bytes;
+    }
+    CorpusSummary S = runCorpusExperiment(Corpus, Opts);
+    EXPECT_EQ(S.FailedModules, 0u);
+    EXPECT_EQ(renderCorpusReport(S), Report);
+    return S.ResumedModules;
+  };
+
+  // A journal in the old tab-separated format, with fresh digests, and
+  // plain garbage: every module re-analyzes, none is misparsed.
+  EXPECT_EQ(Resume(OldFormatRow(0) + OldFormatRow(1) + OldFormatRow(2)), 0u);
+  EXPECT_EQ(Resume("garbage\n\x01\x02 checkpoint 9 9\n"), 0u);
+
+  // Loading stops at the first row that is not a complete record: the
+  // old-format row and everything after it (here a valid row, then a
+  // torn final write) re-analyze.
+  std::string Good =
+      journalRow(Corpus[0].Name, moduleContentDigest(Corpus[0], Opts),
+                 forgedOutcome(1, 1, 1));
+  std::string After =
+      journalRow(Corpus[2].Name, moduleContentDigest(Corpus[2], Opts),
+                 forgedOutcome(1, 1, 1));
   {
-    std::ofstream Out(Journal, std::ios::trunc);
-    Out << Corpus[0].Name << '\t' << moduleContentDigest(Corpus[0], Opts)
-        << "\tok\t0\t1\t1\t1\tend\n";
-    // A row in the old sentinel-less journal format: skipped
-    // (re-analyzed), never misparsed into a bogus restore.
-    Out << Corpus[1].Name << '\t' << moduleContentDigest(Corpus[1], Opts)
-        << "\tok\t0\t1\t1\t1\n";
-    Out << Corpus[2].Name << "\tok"; // torn final write
+    std::ofstream Out(Journal, std::ios::binary | std::ios::trunc);
+    Out << Good << OldFormatRow(1) << After << "checkpoint 5 3";
   }
   CorpusSummary S = runCorpusExperiment(Corpus, Opts);
-  EXPECT_EQ(S.ResumedModules, 1u); // torn and old-format rows re-analyze
+  EXPECT_EQ(S.ResumedModules, 1u);
   EXPECT_EQ(S.FailedModules, 0u);
+
+  // The resume cut the unreadable tail before appending, so the rows it
+  // wrote stay readable: everything restores now.
+  EXPECT_EQ(runCorpusExperiment(Corpus, Opts).ResumedModules, 3u);
   std::remove(Journal.c_str());
 }
 
@@ -606,6 +704,10 @@ TEST(CorpusRobustness, FaultSeedsAreNameStableAndAttemptDistinct) {
             moduleFaultSeed(7, "drv_clean_001", 0));
   EXPECT_NE(moduleFaultSeed(7, "drv_clean_000", 0),
             moduleFaultSeed(8, "drv_clean_000", 0));
+  // Pinned: a seed change would silently move every fault-injected
+  // outcome (and the chaos figures recorded against them).
+  EXPECT_EQ(moduleFaultSeed(7, "drv_clean_000", 0), 0x4716693c98e0b3c3ULL);
+  EXPECT_EQ(moduleFaultSeed(1, "drv_buggy_017", 3), 0x40c4cc64a861741eULL);
 }
 
 //===----------------------------------------------------------------------===//

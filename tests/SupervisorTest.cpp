@@ -212,38 +212,93 @@ TEST(OutcomeWireTest, StatsSerializationRoundTripsExactly) {
 // Checkpoint journal hardening
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+}
+
+void writeFile(const std::string &Path, std::string_view Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
+
+} // namespace
+
+TEST(JournalTest, RowIsAFramedNameAndDigestThenTheOutcomeRecord) {
+  std::vector<ModuleSpec> Corpus = corpusSlice(1);
+  std::string Path = scratchPath("format.journal");
+  std::remove(Path.c_str());
+  ExperimentOptions Opts;
+  Opts.CheckpointFile = Path;
+  ModuleOutcome O = sampleOutcome();
+  {
+    std::vector<ModuleOutcome> Out(1);
+    CheckpointJournal J;
+    J.resume(Corpus, Opts, Out);
+    J.append(0, O);
+  }
+  const std::string &Name = Corpus[0].Name;
+  std::string Digest = moduleContentDigest(Corpus[0], Opts);
+  std::string Want = "checkpoint ";
+  Want += std::to_string(Name.size());
+  Want += ' ';
+  Want += std::to_string(Digest.size());
+  Want += '\n';
+  Want += Name;
+  Want += Digest;
+  // Persisted records never carry the timing-bearing stats.
+  Want += serializeModuleOutcome(O, 0, /*WithMetrics=*/false,
+                                 /*WithStats=*/false);
+  EXPECT_EQ(readFile(Path), Want);
+  std::remove(Path.c_str());
+}
+
 TEST(JournalTest, TornFinalRowIsSkippedOnResume) {
+  std::vector<ModuleSpec> Corpus = corpusSlice(2);
   std::string Path = scratchPath("torn.journal");
   std::remove(Path.c_str());
+  ExperimentOptions Opts;
+  Opts.CheckpointFile = Path;
+  Opts.CollectMetrics = true; // every record gets a body to cut into
+  size_t FirstRowEnd = 0;
   {
+    std::vector<ModuleOutcome> Out(2);
     CheckpointJournal J;
-    ASSERT_TRUE(J.open(Path));
+    J.resume(Corpus, Opts, Out);
     ModuleOutcome Ok;
     Ok.R.Ok = true;
     Ok.R.Counts = {5, 1, 0};
-    J.append("mod_a", std::string(32, 'a'), Ok);
-    J.append("mod_b", std::string(32, 'b'), Ok);
+    J.append(0, Ok);
+    FirstRowEnd = readFile(Path).size();
+    ModuleOutcome Failed = sampleOutcome();
+    Failed.R.Metrics.addCounter("solver.rounds", 3);
+    J.append(1, Failed);
   }
-  auto Full = loadCheckpointJournal(Path);
-  ASSERT_EQ(Full.size(), 2u);
+  std::string Bytes = readFile(Path);
+  size_t BodyStart = Bytes.find('\n', Bytes.find("outcome 2", FirstRowEnd));
+  ASSERT_NE(BodyStart, std::string::npos);
+  ASSERT_LT(BodyStart + 1, Bytes.size());
 
-  // Cut the final row mid-write -- after its last numeric field but
-  // before the integrity sentinel. All numeric fields parse, so only
-  // the sentinel check can tell the row was torn.
-  std::ifstream In(Path, std::ios::binary);
-  std::string Bytes((std::istreambuf_iterator<char>(In)),
-                    std::istreambuf_iterator<char>());
-  In.close();
-  size_t End = Bytes.rfind("\tend\n");
-  ASSERT_NE(End, std::string::npos);
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  Out.write(Bytes.data(), static_cast<std::streamsize>(End));
-  Out.close();
-
-  auto Torn = loadCheckpointJournal(Path);
-  ASSERT_EQ(Torn.size(), 1u);
-  EXPECT_EQ(Torn.count("mod_a"), 1u);
-  EXPECT_EQ(Torn.count("mod_b"), 0u); // torn -> re-analyzed, not trusted
+  // Cut the final row at every byte: inside its name/digest prefix,
+  // inside its record header, and inside its body. The complete first
+  // row restores; the torn one re-analyzes, and the resume cuts it off
+  // so rows appended later stay framed.
+  for (size_t Cut = FirstRowEnd; Cut <= Bytes.size(); ++Cut) {
+    writeFile(Path, std::string_view(Bytes).substr(0, Cut));
+    std::vector<ModuleOutcome> Out(2);
+    CheckpointJournal J;
+    J.resume(Corpus, Opts, Out);
+    J.close();
+    EXPECT_TRUE(Out[0].Resumed) << "cut at " << Cut;
+    EXPECT_EQ(Out[0].R.Counts.NoConfine, 5u);
+    bool Whole = Cut == Bytes.size();
+    EXPECT_EQ(Out[1].Resumed, Whole) << "cut at " << Cut;
+    EXPECT_EQ(readFile(Path).size(), Whole ? Bytes.size() : FirstRowEnd)
+        << "cut at " << Cut;
+  }
   std::remove(Path.c_str());
 }
 
@@ -259,24 +314,19 @@ TEST(JournalTest, TruncatedResumeReanalyzesAndMatches) {
   std::string FirstReport =
       renderCorpusReport(runCorpusExperiment(Corpus, Opts));
 
-  // Drop the last two journal lines (simulating a kill mid-write), then
-  // resume over the same slice.
-  std::ifstream In(Path);
-  std::vector<std::string> Lines;
-  for (std::string L; std::getline(In, L);)
-    Lines.push_back(L);
-  In.close();
-  ASSERT_GE(Lines.size(), 3u);
-  std::ofstream Out(Path, std::ios::trunc);
-  for (size_t I = 0; I + 2 < Lines.size(); ++I)
-    Out << Lines[I] << '\n';
-  // ... and a torn fragment of what would have been the next row.
-  Out << "drv_torn\t" << std::string(32, 'c') << "\tok\t0\t3";
-  Out.close();
+  // Drop the last two journal rows (simulating a kill mid-write), then
+  // resume over the same slice ...
+  std::string Bytes = readFile(Path);
+  size_t Last = Bytes.rfind("checkpoint ");
+  ASSERT_NE(Last, std::string::npos);
+  size_t Prev = Bytes.rfind("checkpoint ", Last - 1);
+  ASSERT_NE(Prev, std::string::npos);
+  // ... keeping a torn fragment of what would have been the next row.
+  writeFile(Path, Bytes.substr(0, Prev) + Bytes.substr(Last, 40));
 
   CorpusSummary Resumed = runCorpusExperiment(Corpus, Opts);
   EXPECT_EQ(renderCorpusReport(Resumed), FirstReport);
-  EXPECT_EQ(Resumed.ResumedModules, Lines.size() - 2);
+  EXPECT_EQ(Resumed.ResumedModules, Corpus.size() - 2);
   std::remove(Path.c_str());
 }
 
@@ -415,6 +465,34 @@ TEST(SupervisorTest, CheckpointResumeSkipsFinishedModules) {
   EXPECT_EQ(Second.Summary.ResumedModules, N);
   EXPECT_EQ(renderCorpusReport(Second.Summary),
             renderCorpusReport(First.Summary));
+  std::remove(Path.c_str());
+}
+
+TEST(SupervisorTest, CheckpointResumeKeepsMetrics) {
+  // Regression: a supervised resume once merged empty metrics for every
+  // module restored from the journal.
+  const uint32_t N = 12;
+  std::vector<ModuleSpec> Corpus = corpusSlice(N);
+  std::vector<ModuleSpec> Half(Corpus.begin(), Corpus.begin() + N / 2);
+  std::string Path = scratchPath("supervised_metrics.journal");
+  std::remove(Path.c_str());
+
+  ExperimentOptions Opts;
+  Opts.CollectMetrics = true;
+  CorpusSummary Fresh = runCorpusExperiment(Corpus, Opts);
+
+  Opts.CheckpointFile = Path;
+  SupervisorOptions Sup;
+  Sup.Workers = 2;
+  Sup.WorkerArgv = workerArgv(N / 2);
+  SupervisedResult First = runSupervisedExperiment(Half, Opts, Sup);
+  ASSERT_TRUE(First.Ok) << First.Error;
+  Sup.WorkerArgv = workerArgv(N);
+  SupervisedResult Second = runSupervisedExperiment(Corpus, Opts, Sup);
+  ASSERT_TRUE(Second.Ok) << Second.Error;
+  EXPECT_EQ(Second.Summary.ResumedModules, N / 2);
+  EXPECT_EQ(Second.Summary.Metrics.renderJSON(), Fresh.Metrics.renderJSON());
+  EXPECT_EQ(renderCorpusReport(Second.Summary), renderCorpusReport(Fresh));
   std::remove(Path.c_str());
 }
 

@@ -20,10 +20,14 @@
 #     -- exception-heavy unwind paths are where leaks hide, and the
 #     parsed program a module's checking run hands its inference run
 #     outlives the checking result in the session's shared arena, where
-#     a lifetime bug would show -- plus a short
-#     fault-injected parallel corpus run under tsan, checking that
-#     injected aborts racing across workers neither corrupt the report
-#     nor trip the sanitizer.
+#     a lifetime bug would show -- then a CLI checkpoint-resume smoke
+#     under asan-ubsan (the resume parses length-framed journal rows
+#     from disk): 24 of 48 modules journaled with --metrics-out, then
+#     all 48 resumed, in-process and with --workers=2, each report
+#     (minus the wall-clock line) and metrics file cmp'ed against a
+#     fresh run -- plus a short fault-injected parallel corpus run under
+#     tsan, checking that injected aborts racing across workers neither
+#     corrupt the report nor trip the sanitizer.
 #  4. Observability stage: a trace/metrics export smoke under asan-ubsan
 #     (the emitters do raw buffer formatting) with JSON validation when
 #     python3 is available, then the `obs`-labeled suite.
@@ -122,6 +126,26 @@ echo "== asan-ubsan: 30-second differential fuzz smoke =="
 
 echo "== asan-ubsan: robustness suite (budgets, fault injection, parse once) =="
 ctest --test-dir build-asan-ubsan --output-on-failure -L robustness
+
+echo "== asan-ubsan: checkpoint resume keeps the report and the metrics =="
+RESUME_DIR=build-asan-ubsan/resume_smoke
+rm -rf "$RESUME_DIR"
+mkdir -p "$RESUME_DIR"
+./build-asan-ubsan/tools/lna-corpus --limit=48 \
+  --metrics-out="$RESUME_DIR/fresh.json" \
+  2> /dev/null | grep -v wall-clock > "$RESUME_DIR/fresh.txt"
+for SHAPE in --jobs=1 --workers=2; do
+  rm -f "$RESUME_DIR/journal"
+  ./build-asan-ubsan/tools/lna-corpus --limit=24 $SHAPE \
+    --checkpoint="$RESUME_DIR/journal" \
+    --metrics-out="$RESUME_DIR/partial.json" > /dev/null 2>&1
+  ./build-asan-ubsan/tools/lna-corpus --limit=48 $SHAPE \
+    --checkpoint="$RESUME_DIR/journal" \
+    --metrics-out="$RESUME_DIR/resumed.json" \
+    2> /dev/null | grep -v wall-clock > "$RESUME_DIR/resumed.txt"
+  cmp "$RESUME_DIR/fresh.txt" "$RESUME_DIR/resumed.txt"
+  cmp "$RESUME_DIR/fresh.json" "$RESUME_DIR/resumed.json"
+done
 
 echo "== tsan: fault-injected parallel corpus run =="
 ./build-tsan/tools/lna-corpus --jobs=4 --limit=120 \
