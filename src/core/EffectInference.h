@@ -35,7 +35,6 @@
 
 #include "alias/TypeChecker.h"
 #include "effects/ConstraintSystem.h"
-#include "effects/EffectTerm.h"
 
 #include <unordered_map>
 #include <vector>
@@ -133,7 +132,6 @@ private:
   TypeTable &Types;
   ConstraintSystem &CS;
   EffectInferenceOptions Opts;
-  TermPool Pool;
   EffectInfResult Result;
   std::unordered_map<TypeId, EffVar> TypeEffMemo;
   /// p' variables of valid confines, indexed by confine index, so

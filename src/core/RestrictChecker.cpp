@@ -9,6 +9,28 @@
 
 using namespace lna;
 
+// The scopes checkRestricts() checks. hasScopesToCheck() asks the same
+// two questions, so the session's k = 0 skip cannot drift from them.
+static bool isCheckedRestrict(const BindInfo &BI) {
+  return BI.ExplicitRestrict && BI.IsPointer;
+}
+
+static bool isCheckedConfine(const ConfineSiteInfo &CSI) {
+  return !CSI.Optional;
+}
+
+bool lna::hasScopesToCheck(const AliasResult &Alias) {
+  for (const BindInfo &BI : Alias.Binds)
+    if (isCheckedRestrict(BI))
+      return true;
+  if (!Alias.ParamRestricts.empty())
+    return true;
+  for (const ConfineSiteInfo &CSI : Alias.Confines)
+    if (isCheckedConfine(CSI))
+      return true;
+  return false;
+}
+
 RestrictCheckResult lna::checkRestricts(const ASTContext &Ctx,
                                         const AliasResult &Alias,
                                         const EffectInfResult &Eff,
@@ -41,7 +63,7 @@ RestrictCheckResult lna::checkRestricts(const ASTContext &Ctx,
   // Restrict bindings: two CHECK-SAT queries each (O(kn) total).
   for (const BindConstraintVars &BCV : Eff.Binds) {
     const BindInfo &BI = Alias.Binds[BCV.BindIdx];
-    if (!BI.ExplicitRestrict || !BI.IsPointer)
+    if (!isCheckedRestrict(BI))
       continue;
     if (Untrackable(BI.Rho, BI.RhoPrime)) {
       Result.Violations.push_back(
@@ -108,13 +130,13 @@ RestrictCheckResult lna::checkRestricts(const ASTContext &Ctx,
   // solution once and test membership.
   bool AnyExplicitConfine = false;
   for (const ConfineConstraintVars &CCV : Eff.Confines)
-    AnyExplicitConfine |= !Alias.Confines[CCV.ConfIdx].Optional;
+    AnyExplicitConfine |= isCheckedConfine(Alias.Confines[CCV.ConfIdx]);
 
   if (AnyExplicitConfine) {
     CS.solve();
     for (const ConfineConstraintVars &CCV : Eff.Confines) {
       const ConfineSiteInfo &CSI = Alias.Confines[CCV.ConfIdx];
-      if (CSI.Optional || !CSI.Valid)
+      if (!isCheckedConfine(CSI) || !CSI.Valid)
         continue;
       if (Untrackable(CSI.Rho, CSI.RhoPrime)) {
         Result.Violations.push_back(

@@ -16,6 +16,9 @@
 ///    escape.
 ///
 /// Each query is O(n), so checking is O(kn) overall -- the paper's bound.
+/// At k = 0 there is nothing to query: hasScopesToCheck() says so from
+/// the typing results alone, and the session then skips constraint
+/// generation, so a checking run with no scope costs typing alone.
 ///
 /// Programmer-written confines additionally need the referential-
 /// transparency conditions of Section 6.1, which quantify over the whole
@@ -62,6 +65,11 @@ struct RestrictCheckResult {
   std::vector<RestrictViolation> Violations;
   bool ok() const { return Violations.empty(); }
 };
+
+/// True if \p Alias has a scope checkRestricts() checks: an explicit
+/// restrict on a pointer, a restrict parameter, or a programmer-written
+/// confine. When false, checkRestricts() would report nothing.
+bool hasScopesToCheck(const AliasResult &Alias);
 
 /// Checks all explicit restrict/confine annotations of a typed program.
 /// Expects type checking to have run with SplitLetLocations = false (plain

@@ -22,6 +22,11 @@
 ///   lock-analysis      flow-sensitive lock states (registered from qual)
 /// \endcode
 ///
+/// A CheckAnnotations run over a program with no scope to check (no
+/// explicit restrict, restrict parameter or confine; hasScopesToCheck)
+/// ends after typing: checking costs O(kn) for k scopes (Section 4), and
+/// at k = 0 nothing reads the effect constraints.
+///
 /// Each phase is timed, and phases publish counters (unifications,
 /// constraints generated, CHECK-SAT visits, restricts kept, ...) into the
 /// session's SessionStats (support/Stats.h). Layers above core -- the

@@ -326,6 +326,13 @@ OracleOutcome checkSolverAgreement(std::string_view Source,
     if (!S.run(Source))
       continue;
     const bool Infer = Mode == PipelineMode::Infer;
+    // A checking run with no scope to check ends after typing and builds
+    // no graph; count it apart, so check.checked still says how many
+    // check-mode graphs were compared.
+    if (!Infer && !hasScopesToCheck(S.result().Alias)) {
+      Out.Counters.push_back("check.unscoped");
+      continue;
+    }
     // Checking answers restricts with CHECK-SAT and solves only when
     // conditionals or explicit confines need it (solving again at a
     // fixpoint changes nothing); inference has already solved, firing

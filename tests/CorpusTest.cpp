@@ -8,11 +8,15 @@
 // Validates the synthetic driver corpus: determinism, category structure,
 // and -- via a parameterized sweep over all 589 modules -- that the real
 // analysis reproduces each module's analytically predicted error counts
-// in every mode. Every module is an end-to-end integration test.
+// in every mode. Every module is an end-to-end integration test. The
+// checking counts are also rebuilt through the full check pipeline, which
+// the session skips past typing on modules with no scope to check.
 //
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Experiment.h"
+#include "lang/Parser.h"
+#include "qual/LockAnalysis.h"
 
 #include <gtest/gtest.h>
 
@@ -242,6 +246,82 @@ TEST(Corpus, ReportJSONOmitsTimingsOnRequest) {
   EXPECT_NE(With.find("\"phases\""), std::string::npos);
   EXPECT_EQ(Without.find("\"phases\""), std::string::npos);
 }
+
+//===----------------------------------------------------------------------===//
+// The checking run's k = 0 skip is unobservable on the corpus.
+//===----------------------------------------------------------------------===//
+
+struct CheckCounts {
+  uint32_t NoConfine = 0;
+  uint32_t AllStrong = 0;
+  bool HasScopes = false;
+  bool ChecksOk = false;
+};
+
+/// The annotation-checking mode built from public calls, effect
+/// constraints and CHECK-SAT included, whatever the module's scopes.
+std::optional<CheckCounts> fullCheckPipeline(const std::string &Source,
+                                             AliasBackendKind Backend) {
+  ASTContext Ctx;
+  Diagnostics Diags;
+  std::optional<Program> Parsed = parse(Source, Ctx, Diags);
+  if (!Parsed)
+    return std::nullopt;
+  PipelineResult R;
+  R.State = std::make_unique<AnalysisState>();
+  R.State->selectAliasBackend(Backend);
+  R.Analyzed = std::move(*Parsed);
+  TypeChecker TC(Ctx, R.State->Types, Diags);
+  std::optional<AliasResult> Alias = TC.check(R.Analyzed, TypeCheckOptions{});
+  if (!Alias)
+    return std::nullopt;
+  R.Alias = std::move(*Alias);
+  R.State->AA->prepare();
+  PipelineOptions Defaults;
+  EffectInferenceOptions EffOpts;
+  EffOpts.ApplyDown = Defaults.ApplyDown;
+  EffOpts.LiberalRestrictEffect = Defaults.LiberalRestrictEffect;
+  EffectInference EI(Ctx, R.Analyzed, R.Alias, R.State->Types, R.State->CS,
+                     EffOpts);
+  R.Eff = EI.run();
+  R.Checks = checkRestricts(Ctx, R.Alias, R.Eff, R.State->CS, R.State->Types,
+                            *R.State->AA);
+
+  CheckCounts Out;
+  Out.HasScopes = hasScopesToCheck(R.Alias);
+  Out.ChecksOk = R.Checks.ok();
+  Out.NoConfine = analyzeLocks(Ctx, R).numErrors();
+  LockAnalysisOptions Strong;
+  Strong.AllStrong = true;
+  Out.AllStrong = analyzeLocks(Ctx, R, Strong).numErrors();
+  return Out;
+}
+
+class CheckPipelineSweep
+    : public ::testing::TestWithParam<AliasBackendKind> {};
+
+TEST_P(CheckPipelineSweep, FullCheckPipelineMatchesAllModesCounts) {
+  ModuleAnalysisOptions Opts;
+  Opts.AliasBackend = GetParam();
+  for (const ModuleSpec &M : corpus()) {
+    std::optional<CheckCounts> Full = fullCheckPipeline(M.Source, GetParam());
+    ModuleModeResult R = analyzeModuleAllModes(M.Source, Opts);
+    ASSERT_TRUE(Full && R.Ok) << M.Name << "\n" << R.Error;
+    // No corpus module has a scope, so every session run here stopped
+    // after typing; the full pipeline must agree on everything it reads.
+    EXPECT_FALSE(Full->HasScopes) << M.Name;
+    EXPECT_TRUE(Full->ChecksOk) << M.Name;
+    EXPECT_EQ(Full->NoConfine, R.Counts.NoConfine) << M.Name;
+    EXPECT_EQ(Full->AllStrong, R.Counts.AllStrong) << M.Name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, CheckPipelineSweep,
+                         ::testing::Values(AliasBackendKind::Steensgaard,
+                                           AliasBackendKind::Andersen),
+                         [](const auto &Info) {
+                           return std::string(aliasBackendName(Info.param));
+                         });
 
 //===----------------------------------------------------------------------===//
 // The full sweep: every module's analysis matches its prediction.

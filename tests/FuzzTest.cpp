@@ -90,6 +90,21 @@ TEST(FuzzOracles, CleanProgramPassesAllOracles) {
 TEST(FuzzOracles, SolverAgreementComparesCheckingAndInferenceGraphs) {
   // Inference graphs carry conditional constraints; the oracle compares
   // their final, post-firing graphs too, and says which modes it ran.
+  // The explicit restrict gives the checking run a graph to compare.
+  const char *Src = "var g : ptr int;\n"
+                    "fun f() : int {\n"
+                    "  restrict q = g in *q := 2;\n"
+                    "  let r = g in *r := 1;\n"
+                    "}\n";
+  OracleOutcome O = runOracle(OracleKind::SolverAgreement, Src);
+  EXPECT_TRUE(O.Applicable);
+  EXPECT_FALSE(O.Failed) << O.Message;
+  EXPECT_EQ(O.Counters,
+            (std::vector<std::string>{"check.checked", "infer.checked"}));
+}
+
+TEST(FuzzOracles, SolverAgreementCountsUnscopedCheckingRuns) {
+  // With no scope, the checking run stops after typing and has no graph.
   const char *Src = "var g : ptr int;\n"
                     "fun f() : int {\n"
                     "  let r = g in *r := 1;\n"
@@ -98,7 +113,21 @@ TEST(FuzzOracles, SolverAgreementComparesCheckingAndInferenceGraphs) {
   EXPECT_TRUE(O.Applicable);
   EXPECT_FALSE(O.Failed) << O.Message;
   EXPECT_EQ(O.Counters,
-            (std::vector<std::string>{"check.checked", "infer.checked"}));
+            (std::vector<std::string>{"check.unscoped", "infer.checked"}));
+}
+
+TEST(FuzzHarness, SolverAgreementStillComparesCheckModeGraphs) {
+  // Generated programs come with and without scopes: both kinds of
+  // checking run must turn up, so check-mode graphs are still compared.
+  FuzzOptions Opts;
+  Opts.Seed = 3;
+  Opts.Runs = 60;
+  Opts.Oracles = {OracleKind::SolverAgreement};
+  FuzzReport R = runFuzz(Opts);
+  EXPECT_TRUE(R.ok()) << (R.Failures.empty() ? "" : R.Failures[0].Message);
+  EXPECT_GT(R.Stats.counter("fuzz", "solver-agreement.check.checked"), 0u);
+  EXPECT_GT(R.Stats.counter("fuzz", "solver-agreement.check.unscoped"), 0u);
+  EXPECT_GT(R.Stats.counter("fuzz", "solver-agreement.infer.checked"), 0u);
 }
 
 TEST(FuzzReducer, ShrinksToPredicateMinimum) {

@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 //
 // Exercises the phase-structured driver layer: phase ordering per mode,
-// early exit on parse/type errors, stats counters being populated for a
+// the checking run that stops after typing when there is no scope, early
+// exit on parse/type errors, stats counters being populated for a
 // known fixture, JSON dump shape, running over a program parsed into
 // the session's context, and repeated runs on one session.
 //
@@ -56,14 +57,93 @@ TEST(Session, InferModePhaseOrdering) {
                                       "effect-constraints", "inference"}));
 }
 
-TEST(Session, CheckModePhaseOrdering) {
+// Fixture has no scope to check; this one has one explicit restrict.
+const char *ScopedFixture = R"(
+fun f(q : ptr int) : int {
+  restrict r = q in *r;
+  0
+}
+)";
+
+PipelineOptions checkMode() {
   PipelineOptions Opts;
   Opts.Mode = PipelineMode::CheckAnnotations;
-  AnalysisSession S(Opts);
-  ASSERT_TRUE(S.run(Fixture)) << S.diags().render();
+  return Opts;
+}
+
+TEST(Session, CheckModePhaseOrdering) {
+  AnalysisSession S(checkMode());
+  ASSERT_TRUE(S.run(ScopedFixture)) << S.diags().render();
   EXPECT_EQ(phaseNames(S.stats()),
             (std::vector<std::string>{"parse", "typing", "effect-constraints",
                                       "check-sat"}));
+}
+
+// Checking costs O(kn) for k scopes (Section 4): at k = 0 the run ends
+// after typing, builds no constraint graph, and accepts the program.
+TEST(Session, CheckModeWithoutScopesStopsAfterTyping) {
+  AnalysisSession S(checkMode());
+  ASSERT_TRUE(S.run(Fixture)) << S.diags().render();
+  EXPECT_EQ(phaseNames(S.stats()),
+            (std::vector<std::string>{"parse", "typing"}));
+  ASSERT_TRUE(S.hasResult());
+  EXPECT_FALSE(S.failure().has_value());
+  EXPECT_FALSE(hasScopesToCheck(S.result().Alias));
+  EXPECT_TRUE(S.result().Checks.ok());
+  EXPECT_TRUE(S.result().Eff.Binds.empty());
+  EXPECT_EQ(S.result().State->CS.numVars(), 0u);
+  // The lock analysis reads only the typing results.
+  analyzeLocks(S, {});
+  EXPECT_GT(S.stats().counter("lock-analysis", "lock-sites"), 0u);
+}
+
+// Each scope kind keeps the checking run going through CHECK-SAT, and
+// the seeded violation in each is still reported.
+void expectCheckedWithViolation(const char *Source,
+                                RestrictViolation::Kind Expected) {
+  AnalysisSession S(checkMode());
+  ASSERT_TRUE(S.run(Source)) << S.diags().render();
+  EXPECT_TRUE(hasScopesToCheck(S.result().Alias));
+  EXPECT_EQ(phaseNames(S.stats()),
+            (std::vector<std::string>{"parse", "typing", "effect-constraints",
+                                      "check-sat"}));
+  bool Found = false;
+  for (const RestrictViolation &V : S.result().Checks.Violations)
+    Found |= V.K == Expected;
+  EXPECT_TRUE(Found) << Source;
+}
+
+TEST(Session, CheckModeRunsCheckSatForAPointerRestrict) {
+  expectCheckedWithViolation(R"(
+fun f(q : ptr int) : int {
+  restrict p = q in { *p; *q }
+}
+)",
+                             RestrictViolation::Kind::AccessedInScope);
+}
+
+TEST(Session, CheckModeRunsCheckSatForARestrictParameter) {
+  expectCheckedWithViolation(R"(
+var saved : ptr lock;
+fun keep(restrict l : ptr lock) : int {
+  saved := l; 0
+}
+)",
+                             RestrictViolation::Kind::Escapes);
+}
+
+TEST(Session, CheckModeRunsCheckSatForAnExplicitConfine) {
+  expectCheckedWithViolation(R"(
+var locks : array lock;
+fun f(i : int, j : int) : int {
+  confine locks[i] in {
+    spin_lock(locks[i]);
+    spin_unlock(locks[j]);
+    0
+  }
+}
+)",
+                             RestrictViolation::Kind::AccessedInScope);
 }
 
 TEST(Session, InlinePhaseRunsWhenRequested) {
@@ -115,13 +195,8 @@ TEST(Session, CountersAreNonzeroOnFixture) {
 }
 
 TEST(Session, CheckSatCountersPopulate) {
-  PipelineOptions Opts;
-  Opts.Mode = PipelineMode::CheckAnnotations;
-  AnalysisSession S(Opts);
-  ASSERT_TRUE(S.run("fun f(q : ptr int) : int {"
-                    "  restrict r = q in *r;"
-                    "  0"
-                    "}")) << S.diags().render();
+  AnalysisSession S(checkMode());
+  ASSERT_TRUE(S.run(ScopedFixture)) << S.diags().render();
   EXPECT_GT(S.stats().counter("check-sat", "checksat-queries"), 0u);
   EXPECT_GT(S.stats().counter("check-sat", "checksat-visits"), 0u);
 }

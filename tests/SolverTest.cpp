@@ -595,7 +595,16 @@ uint64_t expectSessionsAgree(const std::string &Source, uint64_t ReachStride,
       AnalysisSession S(Opts);
       if (!S.run(Source))
         continue;
-      ConstraintSystem &CS = S.result().State->CS;
+      PipelineResult &R = S.result();
+      ConstraintSystem &CS = R.State->CS;
+      // A checking run with no scope stops after typing. Build the graph
+      // it skipped, so the checking-mode constraint shape (plain lets
+      // unified, strict restrict effect) is still compared here.
+      if (Mode == PipelineMode::CheckAnnotations &&
+          !hasScopesToCheck(R.Alias))
+        R.Eff = EffectInference(S.context(), R.Analyzed, R.Alias,
+                                R.State->Types, CS, {})
+                    .run();
       // Checking answers restricts with CHECK-SAT and solves only when
       // conditionals or explicit confines need it; inference has already
       // solved to its fixpoint.

@@ -811,13 +811,15 @@ int main(int Argc, char **Argv) {
     // A single in-process thread spends the whole wall-clock either in
     // a phase or between phases (session set-up, cache and fault scopes,
     // aggregation), so the remainder gets a named line and the table's
-    // total is the wall-clock. Parallel phase sums are CPU time and
-    // cannot be reconciled with the wall-clock this way.
+    // total is the wall-clock. Parallel phase sums are wall time summed
+    // across modules (descheduling included) and cannot be reconciled
+    // with the wall-clock this way.
     SessionStats Ledger = S.Stats;
     if (!Cli.MergeShards && Cli.Workers == 0 && Cli.Jobs == 1)
       Ledger.phase("outside-phases").Seconds =
           std::max(0.0, Elapsed - S.Stats.totalSeconds());
-    std::fprintf(Text, "\nper-phase totals (CPU time across all modules):\n%s",
+    std::fprintf(Text,
+                 "\nper-phase totals (wall time summed across modules):\n%s",
                  Ledger.renderText().c_str());
     std::fprintf(Text, "\nper-phase wall time across modules:\n");
     std::fprintf(Text, "  %-28s %10s %10s %10s\n", "phase", "p50 ms",

@@ -48,8 +48,12 @@
 #     cases, and a MaxSteps sweep showing an abort mid-round leaves no
 #     stale condensation), then a solver-agreement fuzz smoke that makes
 #     the same comparison on the final graphs of random checking and
-#     inference runs, and an inference-maximality fuzz smoke, since the
-#     firing schedule is the solver's to choose.
+#     inference runs, a soundness fuzz smoke (a checking run with no
+#     scope to check stops after typing and builds no graph, so the
+#     checker's accept verdict on random programs with and without
+#     scopes is held against the interpreter), and an
+#     inference-maximality fuzz smoke, since the firing schedule is the
+#     solver's to choose.
 #  8. Chaos stage: the `supervisor`-labeled suite under asan-ubsan
 #     (fork/exec, pipe-protocol parsing of untrusted worker bytes,
 #     signal handling), then a full-corpus chaos audit: every module
@@ -204,6 +208,10 @@ ctest --test-dir build-asan-ubsan --output-on-failure -L solver
 
 echo "== asan-ubsan: solver-agreement fuzz smoke =="
 ./build-asan-ubsan/tools/lna-fuzz --oracle=solver-agreement --seed=3 \
+  --runs=200 --max-seconds=30
+
+echo "== asan-ubsan: soundness fuzz smoke =="
+./build-asan-ubsan/tools/lna-fuzz --oracle=soundness --seed=3 \
   --runs=200 --max-seconds=30
 
 echo "== asan-ubsan: inference-maximality fuzz smoke =="
