@@ -60,7 +60,10 @@ RestrictCheckResult lna::checkRestricts(const ASTContext &Ctx,
     return AA.isUntrackable(Rho) || AA.isUntrackable(RhoPrime);
   };
 
-  // Restrict bindings: two CHECK-SAT queries each (O(kn) total).
+  // Restrict bindings: two CHECK-SAT questions each (O(kn) total). The
+  // escape question asks one search per effect kind for all of the
+  // scope's escape variables at once; EscapeVia is the first of them, in
+  // order, that the location reaches.
   for (const BindConstraintVars &BCV : Eff.Binds) {
     const BindInfo &BI = Alias.Binds[BCV.BindIdx];
     if (!isCheckedRestrict(BI))
@@ -80,12 +83,7 @@ RestrictCheckResult lna::checkRestricts(const ASTContext &Ctx,
                "' is accessed through another name within the restrict "
                "scope",
            BI.Rho, BCV.BodyEff});
-    EffVar EscapeVia = InvalidEffVar;
-    for (EffVar V : BCV.EscapeVars)
-      if (CS.reachesAnyKind(BI.RhoPrime, V)) {
-        EscapeVia = V;
-        break;
-      }
+    EffVar EscapeVia = CS.firstReachedAnyKind(BI.RhoPrime, BCV.EscapeVars);
     if (EscapeVia != InvalidEffVar)
       Result.Violations.push_back(
           {RestrictViolation::Kind::Escapes, BI.Id, 0, 0,
@@ -112,12 +110,7 @@ RestrictCheckResult lna::checkRestricts(const ASTContext &Ctx,
            "location of restrict parameter is accessed through another "
            "name within the function",
            PR.Rho, PCV.BodyEff});
-    EffVar EscapeVia = InvalidEffVar;
-    for (EffVar V : PCV.EscapeVars)
-      if (CS.reachesAnyKind(PR.RhoPrime, V)) {
-        EscapeVia = V;
-        break;
-      }
+    EffVar EscapeVia = CS.firstReachedAnyKind(PR.RhoPrime, PCV.EscapeVars);
     if (EscapeVia != InvalidEffVar)
       Result.Violations.push_back(
           {RestrictViolation::Kind::Escapes, InvalidExprId, PR.FunIndex,

@@ -17,18 +17,38 @@
 
 using namespace lna;
 
+/// Stable counting sort: groups \p Recs by Key(Rec) < NumKeys, writing
+/// Val(Rec, Index) into \p Out so that Out[Start[K]..Start[K+1]) holds
+/// key K's values in record order. The fill runs backwards from each
+/// key's end, which keeps the order without a cursor array.
+template <typename Rec, typename T, typename KeyFn, typename ValFn>
+static void countingSort(const std::vector<Rec> &Recs, uint32_t NumKeys,
+                         KeyFn Key, ValFn Val, std::vector<uint32_t> &Start,
+                         std::vector<T> &Out) {
+  Start.assign(NumKeys + 1, 0);
+  for (const Rec &R : Recs)
+    ++Start[Key(R)];
+  uint32_t End = 0;
+  for (uint32_t &S : Start)
+    End = S += End; // Start[K] = end of key K's run
+  Out.resize(Recs.size());
+  for (size_t I = Recs.size(); I-- > 0;)
+    Out[--Start[Key(Recs[I])]] = Val(Recs[I], I);
+}
+
 EffVar ConstraintSystem::makeVar() {
-  Vars.emplace_back();
+  InScope.push_back(1);
   Cond.Valid = false;
-  return static_cast<EffVar>(Vars.size() - 1);
+  return numVars() - 1;
 }
 
 void ConstraintSystem::addElement(EffectKind K, LocId Rho, EffVar V) {
-  assert(V < Vars.size() && "unknown effect variable");
-  Vars[V].Seeds.push_back(EffectElem(K, Rho).bits());
+  assert(V < numVars() && "unknown effect variable");
+  Seeds.push_back({V, EffectElem(K, Rho).bits()});
   if (TrackOrigins)
-    Vars[V].SeedOrigins.push_back(CurOrigin);
-  ++NumSeeds; // invalidates the CHECK-SAT seed index, not the condensation
+    SeedOrigins.push_back(CurOrigin);
+  // The grown seed count invalidates the CHECK-SAT seed index, not the
+  // condensation.
 }
 
 void ConstraintSystem::addElementAllKinds(LocId Rho, EffVar V) {
@@ -38,13 +58,12 @@ void ConstraintSystem::addElementAllKinds(LocId Rho, EffVar V) {
 }
 
 void ConstraintSystem::addEdge(EffVar From, EffVar To) {
-  assert(From < Vars.size() && To < Vars.size() && "unknown effect variable");
+  assert(From < numVars() && To < numVars() && "unknown effect variable");
   if (From == To)
     return;
-  Vars[From].OutEdges.push_back(To);
+  Edges.push_back({From, To});
   if (TrackOrigins)
-    Vars[From].EdgeOrigins.push_back(CurOrigin);
-  ++NumEdges;
+    EdgeOrigins.push_back(CurOrigin);
   Cond.Valid = false;
 }
 
@@ -54,10 +73,10 @@ void ConstraintSystem::addIntersection(InterOperand A, InterOperand B,
   Inters.push_back({A, B, Out, TrackOrigins ? CurOrigin : Origin{}});
   auto Register = [&](const InterOperand &Op, uint8_t Side) {
     if (Op.K == InterOperand::Kind::Var)
-      Vars[Op.Value].OutInters.emplace_back(Idx, Side);
+      Feeds.push_back({Op.Value, Idx, Side});
     else if (Op.K == InterOperand::Kind::VarUnion)
       for (EffVar V : Op.Union)
-        Vars[V].OutInters.emplace_back(Idx, Side);
+        Feeds.push_back({V, Idx, Side});
   };
   Register(Inters[Idx].A, 0);
   Register(Inters[Idx].B, 1);
@@ -92,6 +111,44 @@ uint32_t ConstraintSystem::addConditional(CondConstraint C) {
 }
 
 //===----------------------------------------------------------------------===//
+// Per-variable grouping of the flat constraint arrays
+//===----------------------------------------------------------------------===//
+
+/// Refreshes \p G, the grouping of \p Recs by their Var field, unless it
+/// was built from as many records and variables as there are now (the
+/// arrays are append-only, so the counts identify their contents).
+template <typename Rec, typename Group, typename ValFn>
+static const Group &groupByVar(const std::vector<Rec> &Recs, uint32_t NumVars,
+                               Group &G, ValFn Val) {
+  if (G.NumRecs != Recs.size() || G.NumVars != NumVars) {
+    countingSort(
+        Recs, NumVars, [](const Rec &R) { return R.Var; }, Val, G.Start,
+        G.Items);
+    G.NumRecs = Recs.size();
+    G.NumVars = NumVars;
+  }
+  return G;
+}
+
+template <typename Fn> void ConstraintSystem::forEachSeedByVar(Fn F) const {
+  const ByVar<uint32_t> &SG =
+      groupByVar(Seeds, numVars(), SeedGroups,
+                 [](const SeedRec &S, size_t) { return S.Elem; });
+  for (EffVar V = 0; V < numVars(); ++V)
+    for (const uint32_t *S = SG.begin(V); S != SG.end(V); ++S)
+      F(V, *S);
+}
+
+const ConstraintSystem::ByVar<std::pair<uint32_t, uint8_t>> &
+ConstraintSystem::feedsByVar() const {
+  // Feeds are only added by addIntersection, i.e. during generation: the
+  // condensation rebuilds of a firing round all reuse this grouping.
+  return groupByVar(Feeds, numVars(), FeedGroups, [](const FeedRec &F, size_t) {
+    return std::make_pair(F.Inter, F.Side);
+  });
+}
+
+//===----------------------------------------------------------------------===//
 // SCC condensation
 //===----------------------------------------------------------------------===//
 
@@ -102,26 +159,18 @@ void ConstraintSystem::ensureCondensed() const {
 
 void ConstraintSystem::rebuildCondensation() const {
   Span Sp("solver-condense");
-  const uint32_t NumVars = static_cast<uint32_t>(Vars.size());
+  const uint32_t NumVars = numVars();
 
   // Map variables to components: Tarjan over the plain-edge graph
   // (intersections are not collapsed: a cycle through an I node does not
-  // imply solution equality). The variable-level CSR is built in place:
-  // sources are visited in CSR order, so targets fill strictly
-  // sequentially -- no edge-pair list and no fill-cursor array. (The
-  // per-source target order matches the pair-list construction exactly,
-  // so iteration order -- and with it every order-sensitive metric -- is
-  // unchanged.)
+  // imply solution equality). The variable-level CSR is a stable counting
+  // sort of the edge array by source, so each source's targets keep
+  // generation order -- and with it every order-sensitive metric.
   Adjacency VAdj;
-  VAdj.Start.assign(NumVars + 1, 0);
-  for (uint32_t V = 0; V < NumVars; ++V)
-    VAdj.Start[V + 1] =
-        VAdj.Start[V] + static_cast<uint32_t>(Vars[V].OutEdges.size());
-  VAdj.Targets.resize(VAdj.Start[NumVars]);
-  uint32_t Pos = 0;
-  for (uint32_t V = 0; V < NumVars; ++V)
-    for (EffVar W : Vars[V].OutEdges)
-      VAdj.Targets[Pos++] = W;
+  countingSort(
+      Edges, NumVars, [](const EdgeRec &E) { return E.From; },
+      [](const EdgeRec &E, size_t) { return E.To; }, VAdj.Start,
+      VAdj.Targets);
   TarjanSCC SCC(VAdj, NumVars);
   std::vector<uint32_t> NewComp = std::move(SCC.Comp);
   const uint32_t NumComps = SCC.NumComps;
@@ -129,13 +178,13 @@ void ConstraintSystem::rebuildCondensation() const {
   // Component-level CSR adjacency: plain edges with intra-component
   // edges dropped, and the (intersection, side) feed lists. CSR packing
   // keeps each component's fanout contiguous for the propagation and
-  // DFS inner loops. Counting sort straight off the variable edge lists
-  // (count, prefix, fill) -- again no intermediate pair list.
+  // DFS inner loops. Counting sort straight off the variable CSR (count,
+  // prefix, fill) -- no intermediate pair list.
   Adjacency CAdj;
   CAdj.Start.assign(NumComps + 1, 0);
   for (uint32_t V = 0; V < NumVars; ++V)
-    for (EffVar W : Vars[V].OutEdges)
-      if (NewComp[V] != NewComp[W])
+    for (const uint32_t *W = VAdj.begin(V); W != VAdj.end(V); ++W)
+      if (NewComp[V] != NewComp[*W])
         ++CAdj.Start[NewComp[V] + 1];
   for (uint32_t C = 0; C < NumComps; ++C)
     CAdj.Start[C + 1] += CAdj.Start[C];
@@ -143,23 +192,23 @@ void ConstraintSystem::rebuildCondensation() const {
   {
     std::vector<uint32_t> Fill(CAdj.Start.begin(), CAdj.Start.end() - 1);
     for (uint32_t V = 0; V < NumVars; ++V)
-      for (EffVar W : Vars[V].OutEdges)
-        if (NewComp[V] != NewComp[W])
-          CAdj.Targets[Fill[NewComp[V]]++] = NewComp[W];
+      for (const uint32_t *W = VAdj.begin(V); W != VAdj.end(V); ++W)
+        if (NewComp[V] != NewComp[*W])
+          CAdj.Targets[Fill[NewComp[V]]++] = NewComp[*W];
   }
 
+  const ByVar<std::pair<uint32_t, uint8_t>> &FG = feedsByVar();
   std::vector<uint32_t> InterStart(NumComps + 1, 0);
   for (uint32_t V = 0; V < NumVars; ++V)
-    InterStart[NewComp[V] + 1] +=
-        static_cast<uint32_t>(Vars[V].OutInters.size());
+    InterStart[NewComp[V] + 1] += FG.Start[V + 1] - FG.Start[V];
   for (uint32_t C = 0; C < NumComps; ++C)
     InterStart[C + 1] += InterStart[C];
   std::vector<std::pair<uint32_t, uint8_t>> InterFeeds(InterStart[NumComps]);
   {
     std::vector<uint32_t> Fill(InterStart.begin(), InterStart.end() - 1);
     for (uint32_t V = 0; V < NumVars; ++V)
-      for (auto F : Vars[V].OutInters)
-        InterFeeds[Fill[NewComp[V]]++] = F;
+      for (const auto *F = FG.begin(V); F != FG.end(V); ++F)
+        InterFeeds[Fill[NewComp[V]]++] = *F;
   }
 
   // Carry solver state across the rebuild. Structure only grows, so all
@@ -210,7 +259,7 @@ void ConstraintSystem::rebuildCondensation() const {
   Cond.Dirty.assign(NumComps, 0);
   Cond.InScope.assign(NumComps, 0);
   for (uint32_t V = 0; V < NumVars; ++V)
-    if (Vars[V].InScope)
+    if (InScope[V])
       Cond.InScope[Cond.Comp[V]] = 1;
   Cond.VisitEpoch.assign(NumComps, 0);
   Cond.SideEpoch.assign(Inters.size(), 0);
@@ -228,13 +277,13 @@ void ConstraintSystem::rebuildCondensation() const {
 
 void ConstraintSystem::ensureCheckSatIndex() const {
   if (Cond.IndexValid && Cond.IndexMergeStamp == Locs.numClassesMerged() &&
-      Cond.IndexSeedStamp == NumSeeds)
+      Cond.IndexSeedStamp == Seeds.size())
     return;
   Cond.SeedComps.clear();
   Cond.ElemFeeds.clear();
-  for (uint32_t V = 0; V < Vars.size(); ++V)
-    for (uint32_t S : Vars[V].Seeds)
-      Cond.SeedComps[canon(S)].push_back(Cond.Comp[V]);
+  forEachSeedByVar([&](EffVar V, uint32_t S) {
+    Cond.SeedComps[canon(S)].push_back(Cond.Comp[V]);
+  });
   for (uint32_t I = 0; I < Inters.size(); ++I) {
     const InterNode &N = Inters[I];
     if (N.A.K == InterOperand::Kind::Elem)
@@ -243,7 +292,7 @@ void ConstraintSystem::ensureCheckSatIndex() const {
       Cond.ElemFeeds[canon(N.B.Value)].push_back({I, 1});
   }
   Cond.IndexMergeStamp = Locs.numClassesMerged();
-  Cond.IndexSeedStamp = NumSeeds;
+  Cond.IndexSeedStamp = Seeds.size();
   Cond.IndexValid = true;
 }
 
@@ -253,22 +302,21 @@ void ConstraintSystem::ensureCheckSatIndex() const {
 
 bool ConstraintSystem::reaches(EffectKind K, LocId Rho, EffVar Target) const {
   Span Sp("checksat-dfs");
-  ++Stats.CheckSatQueries;
-  uint64_t VisitedBefore = Stats.CheckSatVisited;
-  uint32_t C = EffectElem(K, Locs.find(Rho)).bits();
-
   ensureCondensed();
   ensureCheckSatIndex();
-  bool Found = reachesCollapsed(C, Target);
-  static const MetricId VisitsMetric = metricId("checksat-visits");
-  obsHistogram(VisitsMetric, Stats.CheckSatVisited - VisitedBefore);
-  return Found;
+  return dfsCollapsed(EffectElem(K, Locs.find(Rho)).bits(),
+                      Target < numVars() ? Cond.Comp[Target] : ~0u);
 }
 
-/// Component-granularity DFS over the CSR condensation, sources pulled
-/// from the seed/element-operand indexes, epoch-stamped scratch instead
-/// of per-query allocation and clearing.
-bool ConstraintSystem::reachesCollapsed(uint32_t C, EffVar Target) const {
+/// Component-granularity DFS from canonical element \p C over the CSR
+/// condensation, sources pulled from the seed/element-operand indexes,
+/// epoch-stamped scratch instead of per-query allocation and clearing.
+/// Stops once \p StopComp is visited and returns whether it was; the
+/// components it visited keep the current epoch in VisitEpoch until the
+/// next search.
+bool ConstraintSystem::dfsCollapsed(uint32_t C, uint32_t StopComp) const {
+  ++Stats.CheckSatQueries;
+  const uint64_t VisitedBefore = Stats.CheckSatVisited;
   if (++Cond.Epoch == 0) {
     // Epoch wrap: invalidate all stamps once, then restart at 1.
     std::fill(Cond.VisitEpoch.begin(), Cond.VisitEpoch.end(), 0);
@@ -276,7 +324,6 @@ bool ConstraintSystem::reachesCollapsed(uint32_t C, EffVar Target) const {
     Cond.Epoch = 1;
   }
   const uint32_t Epoch = Cond.Epoch;
-  const uint32_t TC = Target < Vars.size() ? Cond.Comp[Target] : ~0u;
   std::vector<uint32_t> &Work = Cond.WorkScratch;
   Work.clear();
 
@@ -286,7 +333,7 @@ bool ConstraintSystem::reachesCollapsed(uint32_t C, EffVar Target) const {
       return;
     Cond.VisitEpoch[Comp] = Epoch;
     ++Stats.CheckSatVisited;
-    if (Comp == TC)
+    if (Comp == StopComp)
       Found = true;
     Work.push_back(Comp);
   };
@@ -303,13 +350,12 @@ bool ConstraintSystem::reachesCollapsed(uint32_t C, EffVar Target) const {
     for (auto [I, Side] : It->second)
       if (OrMask(I, static_cast<uint8_t>(1u << Side)) == 3)
         Visit(Cond.Comp[Inters[I].Out]);
-  if (Found)
-    return true;
 
   // Seed sources, from the index.
-  if (auto It = Cond.SeedComps.find(C); It != Cond.SeedComps.end())
-    for (uint32_t Comp : It->second)
-      Visit(Comp);
+  if (!Found)
+    if (auto It = Cond.SeedComps.find(C); It != Cond.SeedComps.end())
+      for (uint32_t Comp : It->second)
+        Visit(Comp);
 
   while (!Work.empty() && !Found) {
     budgetStep();
@@ -324,6 +370,8 @@ bool ConstraintSystem::reachesCollapsed(uint32_t C, EffVar Target) const {
         Visit(Cond.Comp[Inters[I].Out]);
     }
   }
+  static const MetricId VisitsMetric = metricId("checksat-visits");
+  obsHistogram(VisitsMetric, Stats.CheckSatVisited - VisitedBefore);
   return Found;
 }
 
@@ -331,6 +379,35 @@ bool ConstraintSystem::reachesAnyKind(LocId Rho, EffVar Target) const {
   return reaches(EffectKind::Read, Rho, Target) ||
          reaches(EffectKind::Write, Rho, Target) ||
          reaches(EffectKind::Alloc, Rho, Target);
+}
+
+EffVar
+ConstraintSystem::firstReachedAnyKind(LocId Rho,
+                                      const std::vector<EffVar> &Targets) const {
+  if (Targets.empty())
+    return InvalidEffVar;
+  Span Sp("checksat-dfs");
+  ensureCondensed();
+  ensureCheckSatIndex();
+  auto CompOf = [&](EffVar V) { return V < numVars() ? Cond.Comp[V] : ~0u; };
+  // Each kind's search runs to exhaustion (or to the first target, which
+  // nothing can beat), then the targets ahead of the best so far are
+  // looked up in its visit stamps.
+  size_t Best = Targets.size();
+  for (EffectKind K :
+       {EffectKind::Read, EffectKind::Write, EffectKind::Alloc}) {
+    if (Best == 0)
+      break;
+    dfsCollapsed(EffectElem(K, Locs.find(Rho)).bits(), CompOf(Targets[0]));
+    for (size_t I = 0; I < Best; ++I) {
+      uint32_t TC = CompOf(Targets[I]);
+      if (TC != ~0u && Cond.VisitEpoch[TC] == Cond.Epoch) {
+        Best = I;
+        break;
+      }
+    }
+  }
+  return Best < Targets.size() ? Targets[Best] : InvalidEffVar;
 }
 
 //===----------------------------------------------------------------------===//
@@ -382,7 +459,7 @@ void ConstraintSystem::propagate() {
 
 void ConstraintSystem::recanonicalize() {
   Span Sp("recanonicalize");
-  budgetStep(Vars.size());
+  budgetStep(numVars());
   // Rebuild solution sets with canonical elements. Only components whose
   // set actually changed (an element mentioned a just-unified location)
   // need re-pushing: edges propagate set contents, which are unchanged,
@@ -438,14 +515,13 @@ void ConstraintSystem::recheckElemIntersections() {
 
 void ConstraintSystem::computeScope(const std::vector<EffVar> &QueryVars) {
   if (QueryVars.empty()) {
-    for (VarNode &N : Vars)
-      N.InScope = true;
+    std::fill(InScope.begin(), InScope.end(), 1);
     return;
   }
   // Backwards search (Section 6.2): only the part of the graph that can
   // flow into a query variable, a conditional's tested variable, or a
   // variable a conditional action writes needs least-solution computation.
-  std::vector<uint8_t> InScope(Vars.size(), 0);
+  std::fill(InScope.begin(), InScope.end(), 0);
   std::vector<EffVar> Work;
   auto Mark = [&](EffVar V) {
     if (V == InvalidEffVar || InScope[V])
@@ -466,21 +542,23 @@ void ConstraintSystem::computeScope(const std::vector<EffVar> &QueryVars) {
           A.K == CondAction::Kind::AddElemReadWrite)
         Mark(A.B);
   }
-  // Reverse adjacency.
-  std::vector<std::vector<EffVar>> Rev(Vars.size());
-  for (EffVar V = 0; V < Vars.size(); ++V)
-    for (EffVar W : Vars[V].OutEdges)
-      Rev[W].push_back(V);
-  std::vector<std::vector<uint32_t>> RevInter(Vars.size());
-  for (uint32_t I = 0; I < Inters.size(); ++I)
-    RevInter[Inters[I].Out].push_back(I);
+  // Reverse adjacency: edge sources and intersections grouped by target.
+  Adjacency Rev, RevInter;
+  countingSort(
+      Edges, numVars(), [](const EdgeRec &E) { return E.To; },
+      [](const EdgeRec &E, size_t) { return E.From; }, Rev.Start,
+      Rev.Targets);
+  countingSort(
+      Inters, numVars(), [](const InterNode &N) { return N.Out; },
+      [](const InterNode &, size_t I) { return static_cast<uint32_t>(I); },
+      RevInter.Start, RevInter.Targets);
   while (!Work.empty()) {
     EffVar V = Work.back();
     Work.pop_back();
-    for (EffVar U : Rev[V])
-      Mark(U);
-    for (uint32_t I : RevInter[V]) {
-      for (const InterOperand *Op : {&Inters[I].A, &Inters[I].B}) {
+    for (const uint32_t *U = Rev.begin(V); U != Rev.end(V); ++U)
+      Mark(*U);
+    for (const uint32_t *I = RevInter.begin(V); I != RevInter.end(V); ++I) {
+      for (const InterOperand *Op : {&Inters[*I].A, &Inters[*I].B}) {
         if (Op->K == InterOperand::Kind::Var)
           Mark(Op->Value);
         else if (Op->K == InterOperand::Kind::VarUnion)
@@ -489,8 +567,6 @@ void ConstraintSystem::computeScope(const std::vector<EffVar> &QueryVars) {
       }
     }
   }
-  for (EffVar V = 0; V < Vars.size(); ++V)
-    Vars[V].InScope = InScope[V] != 0;
 }
 
 bool ConstraintSystem::evalPremise(const CondConstraint &C) const {
@@ -578,14 +654,13 @@ void ConstraintSystem::solve(const std::vector<EffVar> &QueryVars) {
   // members are mutually reachable, so the backwards closure marks all
   // of them or none).
   std::fill(Cond.InScope.begin(), Cond.InScope.end(), 0);
-  for (uint32_t V = 0; V < Vars.size(); ++V)
-    if (Vars[V].InScope)
+  for (uint32_t V = 0; V < numVars(); ++V)
+    if (InScope[V])
       Cond.InScope[Cond.Comp[V]] = 1;
 
-  // Seed every variable's directly-included elements.
-  for (EffVar V = 0; V < Vars.size(); ++V)
-    for (uint32_t S : Vars[V].Seeds)
-      insertElem(V, canon(S));
+  // Seed every variable's directly-included elements, variable by
+  // variable.
+  forEachSeedByVar([&](EffVar V, uint32_t S) { insertElem(V, canon(S)); });
   recheckElemIntersections();
 
   propagate();
@@ -634,7 +709,7 @@ void ConstraintSystem::solve(const std::vector<EffVar> &QueryVars) {
 }
 
 const SmallElemSet &ConstraintSystem::solution(EffVar V) const {
-  assert(V < Vars.size() && "unknown effect variable");
+  assert(V < numVars() && "unknown effect variable");
   ensureCondensed();
   return Cond.Sol[Cond.Comp[V]];
 }
@@ -693,22 +768,30 @@ ConstraintSystem::explainReach(EffectKind K, LocId Rho, EffVar Target) const {
   // DFS of CHECK-SAT) so the reconstructed witness is a shortest
   // constraint chain. Runs on the uncollapsed graph: witness steps must
   // correspond one-to-one to program constraints, and --explain is off
-  // the hot path.
+  // the hot path, so the out-edges are regrouped per call (as edge
+  // indexes, which also index EdgeOrigins).
   uint32_t C = EffectElem(K, Locs.find(Rho)).bits();
+  const uint32_t NumVars = numVars();
+  Adjacency OutEdges;
+  countingSort(
+      Edges, NumVars, [](const EdgeRec &E) { return E.From; },
+      [](const EdgeRec &, size_t I) { return static_cast<uint32_t>(I); },
+      OutEdges.Start, OutEdges.Targets);
+  const ByVar<std::pair<uint32_t, uint8_t>> &FG = feedsByVar();
 
   struct Parent {
     enum Kind : uint8_t { None, Seed, Edge, Inter } K = None;
     EffVar From = InvalidEffVar;
     Origin O{};
   };
-  std::vector<Parent> Par(Vars.size());
-  std::vector<uint8_t> Visited(Vars.size(), 0);
+  std::vector<Parent> Par(NumVars);
+  std::vector<uint8_t> Visited(NumVars, 0);
   std::vector<uint8_t> SideMask(Inters.size(), 0);
   std::vector<EffVar> Queue;
   size_t Head = 0;
 
   auto Visit = [&](EffVar V, Parent P) {
-    if (V >= Vars.size() || Visited[V])
+    if (V >= NumVars || Visited[V])
       return;
     Visited[V] = 1;
     Par[V] = P;
@@ -726,31 +809,31 @@ ConstraintSystem::explainReach(EffectKind K, LocId Rho, EffVar Target) const {
       Visit(N.Out, {Parent::Inter, InvalidEffVar, N.Orig});
   }
 
-  // Seed sources: the element's origin is the access that generated it.
-  for (EffVar V = 0; V < Vars.size(); ++V) {
-    const VarNode &N = Vars[V];
-    for (size_t I = 0; I < N.Seeds.size(); ++I)
-      if (canon(N.Seeds[I]) == C) {
-        Origin O = I < N.SeedOrigins.size() ? N.SeedOrigins[I] : Origin{};
-        Visit(V, {Parent::Seed, InvalidEffVar, O});
-        break;
-      }
-  }
+  // Seed sources, in variable order: the element's origin is the access
+  // that generated the variable's first matching seed.
+  std::vector<uint32_t> FirstSeed(NumVars, ~0u);
+  for (uint32_t I = 0; I < Seeds.size(); ++I)
+    if (FirstSeed[Seeds[I].Var] == ~0u && canon(Seeds[I].Elem) == C)
+      FirstSeed[Seeds[I].Var] = I;
+  for (EffVar V = 0; V < NumVars; ++V)
+    if (uint32_t I = FirstSeed[V]; I != ~0u)
+      Visit(V, {Parent::Seed, InvalidEffVar,
+                I < SeedOrigins.size() ? SeedOrigins[I] : Origin{}});
 
-  while (Head < Queue.size() && !Visited[Target]) {
+  while (Head < Queue.size() && !(Target < NumVars && Visited[Target])) {
     EffVar V = Queue[Head++];
-    const VarNode &N = Vars[V];
-    for (size_t I = 0; I < N.OutEdges.size(); ++I) {
-      Origin O = I < N.EdgeOrigins.size() ? N.EdgeOrigins[I] : Origin{};
-      Visit(N.OutEdges[I], {Parent::Edge, V, O});
-    }
-    for (auto [I, Side] : N.OutInters) {
+    for (const uint32_t *E = OutEdges.begin(V); E != OutEdges.end(V); ++E)
+      Visit(Edges[*E].To, {Parent::Edge, V,
+                           *E < EdgeOrigins.size() ? EdgeOrigins[*E]
+                                                   : Origin{}});
+    for (const auto *F = FG.begin(V); F != FG.end(V); ++F) {
+      auto [I, Side] = *F;
       SideMask[I] |= static_cast<uint8_t>(1u << Side);
       if (SideMask[I] == 3)
         Visit(Inters[I].Out, {Parent::Inter, V, Inters[I].Orig});
     }
   }
-  if (Target >= Vars.size() || !Visited[Target])
+  if (Target >= NumVars || !Visited[Target])
     return {};
 
   // Walk the parent chain from the violated scope's variable back to the
@@ -797,8 +880,13 @@ void ConstraintSystem::recordGraphMetrics() const {
   if (!currentMetrics())
     return;
   static const MetricId OutDegree = metricId("constraint-out-degree");
-  for (const VarNode &N : Vars)
-    obsHistogram(OutDegree, N.OutEdges.size() + N.OutInters.size());
+  std::vector<uint32_t> Degree(numVars(), 0);
+  for (const EdgeRec &E : Edges)
+    ++Degree[E.From];
+  for (const FeedRec &F : Feeds)
+    ++Degree[F.Var];
+  for (uint32_t D : Degree)
+    obsHistogram(OutDegree, D);
 }
 
 void ConstraintSystem::recordSolutionMetrics() const {
@@ -808,7 +896,7 @@ void ConstraintSystem::recordSolutionMetrics() const {
   // Report per *variable*, not per component, so the effect-set-size
   // distribution is unchanged by the collapse.
   static const MetricId SetSize = metricId("effect-set-size");
-  for (uint32_t V = 0; V < Vars.size(); ++V)
-    if (Vars[V].InScope)
+  for (uint32_t V = 0; V < numVars(); ++V)
+    if (InScope[V])
       obsHistogram(SetSize, Cond.Sol[Cond.Comp[V]].size());
 }

@@ -10,8 +10,8 @@
 /// read/write/alloc effect kinds of Section 6.1 and the conditional
 /// constraints of Sections 5 and 6.
 ///
-/// After normalization (Figure 4b, see EffectTerm.h) constraints have the
-/// normal form
+/// Constraint generation (EffectInference.h) emits constraints directly
+/// in the graph form
 ///
 /// \code
 ///   {X(rho)} <= eps   |   eps1 <= eps2   |   (M1 n M2) <= eps
@@ -20,6 +20,13 @@
 ///
 /// viewed as a directed graph with element sources, effect-variable nodes,
 /// and in-degree-2 intersection nodes (the paper's I nodes).
+///
+/// The graph is stored flat: one append-only array per constraint kind
+/// (edges, seeds, intersection feeds), each in generation order, and no
+/// per-variable containers. A pass that needs the constraints grouped by
+/// variable builds that grouping with a stable counting sort, which keeps
+/// each variable's constraints in generation order, so every traversal
+/// sees exactly the per-variable order the constraints were added in.
 ///
 /// Two solvers are provided:
 ///
@@ -46,9 +53,10 @@
 /// DFS all operate at component granularity. The condensation is built
 /// lazily (and rebuilt once per firing round), with the adjacency packed
 /// into CSR arrays for locality. The one uncollapsed traversal is
-/// explainReach, which walks the raw per-variable graph for --explain
-/// witnesses and doubles as the reference the solver tests and
-/// benchmarks compare reaches() and member() against.
+/// explainReach, which walks the variable-level graph (regrouped from the
+/// flat arrays per call) for --explain witnesses and doubles as the
+/// reference the solver tests and benchmarks compare reaches() and
+/// member() against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -178,7 +186,7 @@ public:
 
   /// Creates a fresh effect variable.
   EffVar makeVar();
-  uint32_t numVars() const { return static_cast<uint32_t>(Vars.size()); }
+  uint32_t numVars() const { return static_cast<uint32_t>(InScope.size()); }
 
   /// {X(rho)} <= V.
   void addElement(EffectKind K, LocId Rho, EffVar V);
@@ -192,7 +200,7 @@ public:
   /// Registers a conditional constraint; returns its index.
   uint32_t addConditional(CondConstraint C);
 
-  uint32_t numEdges() const { return NumEdges; }
+  uint32_t numEdges() const { return static_cast<uint32_t>(Edges.size()); }
   uint32_t numIntersections() const {
     return static_cast<uint32_t>(Inters.size());
   }
@@ -209,6 +217,13 @@ public:
   bool reaches(EffectKind K, LocId Rho, EffVar Target) const;
   /// True iff any of the three kinds of rho reaches Target.
   bool reachesAnyKind(LocId Rho, EffVar Target) const;
+  /// The first of \p Targets, in their order, that some kind of rho
+  /// reaches; InvalidEffVar if none does. One DFS per kind answers every
+  /// target at once (so the same three queries whatever |Targets|); the
+  /// kinds stay separate searches because an intersection fires only on
+  /// one element arriving at both of its sides.
+  EffVar firstReachedAnyKind(LocId Rho,
+                             const std::vector<EffVar> &Targets) const;
 
   //===--------------------------------------------------------------===//
   // Least-solution propagation with conditional constraints.
@@ -294,18 +309,36 @@ private:
     Origin Orig{};
   };
 
-  /// Per-variable constraint storage (the authoritative, uncollapsed
-  /// graph; provenance replay and condensation rebuilds read it).
-  struct VarNode {
-    std::vector<EffVar> OutEdges;
-    /// (intersection index, side 0/1) pairs this var feeds.
-    std::vector<std::pair<uint32_t, uint8_t>> OutInters;
-    /// Seeds: elements directly included by addElement.
-    std::vector<uint32_t> Seeds;
-    /// Parallel to OutEdges / Seeds when origin tracking is on.
-    std::vector<Origin> EdgeOrigins;
-    std::vector<Origin> SeedOrigins;
-    bool InScope = true; ///< included in filtered propagation
+  /// The constraint graph, one append-only record array per kind in
+  /// generation order (the authoritative, uncollapsed graph; provenance
+  /// replay and condensation rebuilds read it).
+  struct EdgeRec {
+    EffVar From;
+    EffVar To;
+  };
+  /// {Elem} <= Var, Elem as added (not canonicalized).
+  struct SeedRec {
+    EffVar Var;
+    uint32_t Elem;
+  };
+  /// Var is (a member of) side Side of intersection Inter.
+  struct FeedRec {
+    EffVar Var;
+    uint32_t Inter;
+    uint8_t Side;
+  };
+
+  /// Values grouped by variable: Items[Start[V]..Start[V+1]) are V's, in
+  /// generation order (a stable counting sort), built from NumRecs
+  /// records over NumVars variables.
+  template <typename T> struct ByVar {
+    std::vector<uint32_t> Start;
+    std::vector<T> Items;
+    size_t NumRecs = ~size_t(0);
+    uint32_t NumVars = 0;
+
+    const T *begin(uint32_t V) const { return Items.data() + Start[V]; }
+    const T *end(uint32_t V) const { return Items.data() + Start[V + 1]; }
   };
 
   /// The lazily built SCC condensation both solvers run on. Solution
@@ -333,7 +366,7 @@ private:
     /// are added.
     bool IndexValid = false;
     uint32_t IndexMergeStamp = 0;
-    uint64_t IndexSeedStamp = 0;
+    size_t IndexSeedStamp = 0;
     std::unordered_map<uint32_t, std::vector<uint32_t>> SeedComps;
     std::unordered_map<uint32_t, std::vector<std::pair<uint32_t, uint8_t>>>
         ElemFeeds;
@@ -356,7 +389,11 @@ private:
   void ensureCondensed() const;
   void rebuildCondensation() const;
   void ensureCheckSatIndex() const;
-  bool reachesCollapsed(uint32_t CanonElem, EffVar Target) const;
+  /// Calls F(Var, Elem) for every seed, variable by variable, each
+  /// variable's seeds in generation order.
+  template <typename Fn> void forEachSeedByVar(Fn F) const;
+  const ByVar<std::pair<uint32_t, uint8_t>> &feedsByVar() const;
+  bool dfsCollapsed(uint32_t CanonElem, uint32_t StopComp) const;
 
   void insertElem(EffVar V, uint32_t ElemBits);
   void insertElemComp(uint32_t C, uint32_t ElemBits);
@@ -368,7 +405,15 @@ private:
   void computeScope(const std::vector<EffVar> &QueryVars);
 
   LocTable &Locs;
-  std::vector<VarNode> Vars;
+  std::vector<EdgeRec> Edges;
+  std::vector<SeedRec> Seeds;
+  std::vector<FeedRec> Feeds;
+  /// Parallel to Edges / Seeds when origin tracking is on.
+  std::vector<Origin> EdgeOrigins;
+  std::vector<Origin> SeedOrigins;
+  /// Per variable: included in filtered propagation. Its size is the
+  /// number of variables.
+  std::vector<uint8_t> InScope;
   std::vector<InterNode> Inters;
   std::vector<CondConstraint> Conds;
   /// Intersections with an element operand: their canonical element
@@ -376,10 +421,12 @@ private:
   /// every round that merged location classes.
   std::vector<uint32_t> ElemInters;
   mutable std::vector<uint32_t> Worklist; ///< dirty components
-  uint32_t NumEdges = 0;
-  uint64_t NumSeeds = 0;
   mutable SolverStats Stats;
   mutable Condensation Cond;
+  /// Cached groupings of Seeds (elements) and Feeds ((intersection, side)
+  /// pairs) by variable; rebuilt when records or variables were added.
+  mutable ByVar<uint32_t> SeedGroups;
+  mutable ByVar<std::pair<uint32_t, uint8_t>> FeedGroups;
   bool TrackOrigins = false;
   Origin CurOrigin{};
 };

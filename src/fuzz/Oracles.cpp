@@ -260,9 +260,38 @@ OracleOutcome checkSoundness(std::string_view Source,
 /// checked against it.
 constexpr size_t ExplainStride = 31;
 
+/// The checker's escape verdict for one scope against the uncollapsed
+/// reference: the Escapes violation (if any) reported for the scope
+/// \p Matches must name the first of \p EscapeVars that explainReach
+/// reaches from \p RhoPrime. Returns a description of a mismatch, or "".
+template <typename MatchFn>
+std::string escapeDisagreement(const PipelineResult &R, LocId RhoPrime,
+                               const std::vector<EffVar> &EscapeVars,
+                               MatchFn Matches, const std::string &Scope) {
+  EffVar Expected = InvalidEffVar;
+  for (EffVar V : EscapeVars)
+    if (!R.State->CS.explainReachAnyKind(RhoPrime, V).empty()) {
+      Expected = V;
+      break;
+    }
+  EffVar Reported = InvalidEffVar;
+  for (const RestrictViolation &V : R.Checks.Violations)
+    if (V.K == RestrictViolation::Kind::Escapes && Matches(V))
+      Reported = V.ExplainTarget;
+  if (Reported == Expected)
+    return "";
+  auto Name = [](EffVar V) {
+    return V == InvalidEffVar ? std::string("none") : "var " + std::to_string(V);
+  };
+  return "the checker's escape verdict for " + Scope + " names " +
+         Name(Reported) + " but the uncollapsed explain traversal reaches " +
+         Name(Expected) + " first";
+}
+
 /// Compares the three answers for one solved session's final graph;
-/// returns a description of the first disagreement, or "".
-std::string solverDisagreement(const PipelineResult &R) {
+/// returns a description of the first disagreement, or "". For a checking
+/// session (\p Checked) the checker's escape verdicts are compared too.
+std::string solverDisagreement(const PipelineResult &R, bool Checked) {
   ConstraintSystem &CS = R.State->CS;
   // Query sample: every (loc, var) pair the checker itself queries, plus
   // a strided sweep over the whole (loc, var, kind) space.
@@ -272,12 +301,23 @@ std::string solverDisagreement(const PipelineResult &R) {
     EffVar V;
   };
   std::vector<Query> Queries;
-  for (const BindConstraintVars &BV : R.Eff.Binds) {
-    LocId Rho = R.Alias.Binds[BV.BindIdx].Rho;
-    if (Rho == InvalidLocId || BV.BodyEff == InvalidEffVar)
-      continue;
+  auto AddAllKinds = [&](LocId Rho, EffVar V) {
+    if (Rho == InvalidLocId || V == InvalidEffVar)
+      return;
     for (unsigned K = 0; K < 3; ++K)
-      Queries.push_back({static_cast<EffectKind>(K), Rho, BV.BodyEff});
+      Queries.push_back({static_cast<EffectKind>(K), Rho, V});
+  };
+  for (const BindConstraintVars &BV : R.Eff.Binds) {
+    const BindInfo &BI = R.Alias.Binds[BV.BindIdx];
+    AddAllKinds(BI.Rho, BV.BodyEff);
+    for (EffVar V : BV.EscapeVars)
+      AddAllKinds(BI.RhoPrime, V);
+  }
+  for (const ParamConstraintVars &PV : R.Eff.ParamRestricts) {
+    const ParamRestrictInfo &PR = R.Alias.ParamRestricts[PV.ParamRestrictIdx];
+    AddAllKinds(PR.Rho, PV.BodyEff);
+    for (EffVar V : PV.EscapeVars)
+      AddAllKinds(PR.RhoPrime, V);
   }
   uint32_t NumVars = CS.numVars();
   uint32_t NumLocs = CS.locs().size();
@@ -311,6 +351,43 @@ std::string solverDisagreement(const PipelineResult &R) {
              std::to_string(static_cast<unsigned>(Q.K)) + ", loc " +
              std::to_string(Q.Rho) + ", var " + std::to_string(Q.V);
   }
+  if (!Checked)
+    return "";
+
+  // The escape condition is answered by one multi-target search per kind;
+  // hold its verdict against one uncollapsed traversal per escape
+  // variable. Untrackable scopes get no escape check.
+  const AliasAnalysis &AA = *R.State->AA;
+  auto Untrackable = [&AA](LocId Rho, LocId RhoPrime) {
+    return AA.isUntrackable(Rho) || AA.isUntrackable(RhoPrime);
+  };
+  for (const BindConstraintVars &BV : R.Eff.Binds) {
+    const BindInfo &BI = R.Alias.Binds[BV.BindIdx];
+    if (!BI.ExplicitRestrict || !BI.IsPointer ||
+        Untrackable(BI.Rho, BI.RhoPrime))
+      continue;
+    std::string Diff = escapeDisagreement(
+        R, BI.RhoPrime, BV.EscapeVars,
+        [&](const RestrictViolation &V) { return V.Node == BI.Id; },
+        "bind " + std::to_string(BI.Id));
+    if (!Diff.empty())
+      return Diff;
+  }
+  for (const ParamConstraintVars &PV : R.Eff.ParamRestricts) {
+    const ParamRestrictInfo &PR = R.Alias.ParamRestricts[PV.ParamRestrictIdx];
+    if (Untrackable(PR.Rho, PR.RhoPrime))
+      continue;
+    std::string Diff = escapeDisagreement(
+        R, PR.RhoPrime, PV.EscapeVars,
+        [&](const RestrictViolation &V) {
+          return V.Node == InvalidExprId && V.FunIndex == PR.FunIndex &&
+                 V.ParamIndex == PR.ParamIndex;
+        },
+        "restrict parameter " + std::to_string(PR.ParamIndex) +
+            " of function " + std::to_string(PR.FunIndex));
+    if (!Diff.empty())
+      return Diff;
+  }
   return "";
 }
 
@@ -342,12 +419,19 @@ OracleOutcome checkSolverAgreement(std::string_view Source,
       S.result().State->CS.solve();
     Out.Applicable = true;
     Out.Counters.push_back(Infer ? "infer.checked" : "check.checked");
-    std::string Diff = solverDisagreement(S.result());
+    std::string Diff = solverDisagreement(S.result(), !Infer);
     if (!Diff.empty()) {
       Out.Failed = true;
       Out.Message = (Infer ? "[infer] " : "[check] ") + Diff;
       return Out;
     }
+    // Say when escape verdicts were among what agreed.
+    if (!Infer)
+      for (const RestrictViolation &V : S.result().Checks.Violations)
+        if (V.K == RestrictViolation::Kind::Escapes) {
+          Out.Counters.push_back("check.escapes");
+          break;
+        }
   }
   return Out;
 }

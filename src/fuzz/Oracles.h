@@ -20,7 +20,12 @@
 ///    on a strided subset of the queries also explainReach's uncollapsed
 ///    traversal of the raw graph. Inference graphs include everything
 ///    fired conditionals added, so after solving the unconditional
-///    reachability question and the least solution coincide.
+///    reachability question and the least solution coincide. The sample
+///    includes every (rho, body effect) and (rho', escape variable) pair
+///    the checker asks about; on a checking graph the checker's escape
+///    verdict for each scope (answered by one multi-target search per
+///    effect kind) must name the first escape variable the uncollapsed
+///    traversal reaches.
 ///
 ///  * Inference maximality (Section 5's optimality): materializing the
 ///    inferred restrict set re-checks cleanly, and adding any single

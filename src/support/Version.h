@@ -21,7 +21,7 @@
 namespace lna {
 
 /// Analysis-identity version: participates in content keys.
-inline constexpr const char *AnalyzerVersion = "lna-0.7";
+inline constexpr const char *AnalyzerVersion = "lna-0.8";
 
 } // namespace lna
 

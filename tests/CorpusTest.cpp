@@ -238,6 +238,43 @@ TEST(Corpus, ExperimentAggregatesPhaseStats) {
   EXPECT_GT(S.Stats.counter("lock-analysis", "lock-sites"), 0u);
 }
 
+// The whole corpus at Jobs=1 generates and solves exactly this much: a
+// change to how the constraint graph is stored or solved must leave these
+// totals as they are, even where every report stays the same. (They do
+// not depend on the order each variable's constraints are visited in;
+// SolverTest's TiesFollowGenerationOrder pins that.)
+TEST(Corpus, SolverCountersArePinned) {
+  ExperimentOptions Opts;
+  Opts.Jobs = 1;
+  Opts.CollectMetrics = true;
+  CorpusSummary S = runCorpusExperiment(corpus(), Opts);
+  ASSERT_EQ(S.FailedModules, 0u);
+  EXPECT_EQ(S.Stats.counter("effect-constraints", "effect-vars"), 95845u);
+  EXPECT_EQ(S.Stats.counter("effect-constraints", "constraints-generated"),
+            104234u);
+  EXPECT_EQ(S.Stats.counter("effect-constraints", "intersections"), 4791u);
+  EXPECT_EQ(S.Stats.counter("inference", "cond-firings"), 5259u);
+  EXPECT_EQ(S.Stats.counter("inference", "propagated-elems"), 178645u);
+  EXPECT_EQ(S.Stats.counter("inference", "solver-rounds"), 1587u);
+  // No corpus module has a scope to check.
+  EXPECT_EQ(S.Stats.counter("check-sat", "checksat-queries"), 0u);
+
+  const Histogram *Degree = S.Metrics.findHistogram("constraint-out-degree");
+  ASSERT_NE(Degree, nullptr);
+  EXPECT_EQ(Degree->count(), 95845u);
+  EXPECT_EQ(Degree->sum(), 116757u);
+  EXPECT_EQ(Degree->max(), 350u);
+  const std::pair<unsigned, uint64_t> Buckets[] = {
+      {0, 9182}, {1, 79683}, {2, 4982}, {3, 1218}, {4, 532},
+      {5, 126},  {6, 71},    {7, 37},   {8, 12},   {9, 2}};
+  for (auto [B, N] : Buckets)
+    EXPECT_EQ(Degree->buckets()[B], N) << "bucket " << B;
+  const Histogram *SetSize = S.Metrics.findHistogram("effect-set-size");
+  ASSERT_NE(SetSize, nullptr);
+  EXPECT_EQ(SetSize->count(), 95845u);
+  EXPECT_EQ(SetSize->sum(), 178516u);
+}
+
 TEST(Corpus, ReportJSONOmitsTimingsOnRequest) {
   std::vector<ModuleSpec> Slice(corpus().begin(), corpus().begin() + 2);
   CorpusSummary S = runCorpusExperiment(Slice);

@@ -103,6 +103,22 @@ TEST(FuzzOracles, SolverAgreementComparesCheckingAndInferenceGraphs) {
             (std::vector<std::string>{"check.checked", "infer.checked"}));
 }
 
+TEST(FuzzOracles, SolverAgreementHoldsEscapeVerdictsToTheReference) {
+  // Both scope forms escape through the global: the checker's EscapeVia
+  // (one search per kind over all escape variables) must be the first
+  // escape variable explainReach reaches.
+  const char *Src = "var h : ptr int;\n"
+                    "fun f(q : ptr int) : int {\n"
+                    "  restrict p = q in { h := p; 0 }\n"
+                    "}\n"
+                    "fun g(restrict q : ptr int) : int { h := q; 0 }\n";
+  OracleOutcome O = runOracle(OracleKind::SolverAgreement, Src);
+  EXPECT_TRUE(O.Applicable);
+  EXPECT_FALSE(O.Failed) << O.Message;
+  EXPECT_EQ(O.Counters, (std::vector<std::string>{
+                            "check.checked", "check.escapes", "infer.checked"}));
+}
+
 TEST(FuzzOracles, SolverAgreementCountsUnscopedCheckingRuns) {
   // With no scope, the checking run stops after typing and has no graph.
   const char *Src = "var g : ptr int;\n"

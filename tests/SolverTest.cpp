@@ -18,6 +18,13 @@
 //    modes under both alias backends -- membership in the propagated
 //    least solution, the collapsed CHECK-SAT walk, and explainReach's
 //    uncollapsed traversal of the raw constraint graph all agree.
+//  * The flat constraint storage is invisible: constraints added out of
+//    variable order solve, answer CHECK-SAT, and explain exactly like the
+//    same constraints added variable by variable; constraints added
+//    after a query are seen by the next one; the out-degree metric
+//    matches a hand count.
+//  * The multi-target escape query agrees with one query per target and
+//    keeps the effect kinds apart at intersections.
 //  * Location unification mid-solve reaches intersections whose operand
 //    is a constant element.
 //  * Edges fired by conditionals are folded into the condensation once
@@ -37,6 +44,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Budget.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -223,8 +231,8 @@ TEST(SmallElemSet, SpillBoundaryIsExact) {
 // Checks three-way agreement on a solved system over the (var, canonical
 // loc, kind) space, enumerated in a fixed order: every ReachStride-th
 // query must have member() == reaches(), and every ExplainStride-th
-// checked query must also match explainReach(), the uncollapsed
-// breadth-first walk over the raw per-variable graph (no condensation,
+// checked query must also match explainReach(), the
+// breadth-first walk over the uncollapsed variable graph (no condensation,
 // no source indexes). Returns how many checked queries were reachable,
 // so callers can tell the check was not vacuous.
 uint64_t expectThreeWayAgreement(ConstraintSystem &CS, uint64_t ReachStride,
@@ -572,6 +580,366 @@ TEST(SolverConditional, AbortMidRoundLeavesNoStaleCondensation) {
   }
   // The sweep did land between fired edges and their rebuild.
   EXPECT_GT(MidRound, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Flat constraint storage.
+//===----------------------------------------------------------------------===//
+
+// One constraint of a generated graph; Loc doubles as its identity in
+// explain witnesses.
+struct GenConstraint {
+  enum Kind { Seed, Edge, Inter } K;
+  EffVar V = 0;  ///< seed target / edge source / intersection output
+  EffVar W = 0;  ///< edge target / intersection var operand
+  uint32_t Elem = 0;
+  std::vector<EffVar> Union; ///< intersection's other operand, if a union
+  SourceLoc Loc;
+};
+
+// A random graph over \p NumVars variables and \p NumLocs locations:
+// per-variable streams of seeds and out-edges (cycles included), plus one
+// stream of intersections with variable, union, and element operands.
+std::vector<std::vector<GenConstraint>> randomStreams(uint64_t Seed,
+                                                      uint32_t NumVars,
+                                                      uint32_t NumLocs) {
+  Rng R(Seed);
+  std::vector<std::vector<GenConstraint>> Streams(NumVars + 1);
+  uint32_t Line = 1;
+  auto Elem = [&] {
+    return EffectElem(static_cast<EffectKind>(R.below(3)),
+                      static_cast<LocId>(R.below(NumLocs)))
+        .bits();
+  };
+  for (EffVar V = 0; V < NumVars; ++V) {
+    for (uint64_t I = R.below(3); I > 0; --I)
+      Streams[V].push_back(
+          {GenConstraint::Seed, V, 0, Elem(), {}, {Line++, 1}});
+    for (uint64_t I = R.below(4); I > 0; --I)
+      Streams[V].push_back({GenConstraint::Edge, V,
+                            static_cast<EffVar>(R.below(NumVars)), 0, {},
+                            {Line++, 2}});
+  }
+  for (uint32_t I = 0; I < NumVars / 3; ++I) {
+    GenConstraint C{GenConstraint::Inter,
+                    static_cast<EffVar>(R.below(NumVars)),
+                    static_cast<EffVar>(R.below(NumVars)), 0, {},
+                    {Line++, 3}};
+    if (R.chance(1, 3))
+      C.Elem = Elem();
+    else
+      for (uint64_t J = 1 + R.below(3); J > 0; --J)
+        C.Union.push_back(static_cast<EffVar>(R.below(NumVars)));
+    Streams[NumVars].push_back(std::move(C));
+  }
+  return Streams;
+}
+
+void addGenConstraint(ConstraintSystem &CS, const GenConstraint &C) {
+  CS.setOrigin(C.Loc, "generated constraint");
+  switch (C.K) {
+  case GenConstraint::Seed:
+    CS.addElement(EffectElem(C.Elem).kind(), EffectElem(C.Elem).loc(), C.V);
+    break;
+  case GenConstraint::Edge:
+    CS.addEdge(C.V, C.W);
+    break;
+  case GenConstraint::Inter:
+    CS.addIntersection(InterOperand::var(C.W),
+                       C.Union.empty()
+                           ? InterOperand::elem(EffectElem(C.Elem))
+                           : InterOperand::varUnion(C.Union),
+                       C.V);
+    break;
+  }
+}
+
+bool sameWitness(const std::vector<ExplainStep> &A,
+                 const std::vector<ExplainStep> &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t I = 0; I < A.size(); ++I)
+    if (!(A[I].Loc == B[I].Loc) || A[I].Note != B[I].Note)
+      return false;
+  return true;
+}
+
+// The per-variable grouping is a stable sort of the flat arrays, so a
+// graph whose constraints arrive interleaved across variables behaves
+// exactly like one added variable by variable, as long as each
+// variable's own constraints (and the intersections) keep their relative
+// order: same solutions, same CHECK-SAT answers, same witnesses.
+TEST(SolverStorage, OutOfOrderConstraintsMatchInOrderReference) {
+  constexpr uint32_t NumVars = 60, NumLocs = 8;
+  for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    std::vector<std::vector<GenConstraint>> Streams =
+        randomStreams(Seed, NumVars, NumLocs);
+    LocTable LocsA, LocsB;
+    ConstraintSystem InOrder(LocsA), Shuffled(LocsB);
+    for (ConstraintSystem *CS : {&InOrder, &Shuffled}) {
+      for (uint32_t L = 0; L < NumLocs; ++L)
+        CS->locs().fresh();
+      CS->enableOriginTracking();
+      for (uint32_t V = 0; V < NumVars; ++V)
+        CS->makeVar();
+    }
+    for (const auto &Stream : Streams)
+      for (const GenConstraint &C : Stream)
+        addGenConstraint(InOrder, C);
+    // Interleave the streams at random.
+    Rng R(Seed * 977);
+    size_t Total = 0;
+    for (const auto &Stream : Streams)
+      Total += Stream.size();
+    std::vector<size_t> Next(Streams.size(), 0);
+    for (size_t Done = 0; Done < Total;) {
+      size_t S = R.below(Streams.size());
+      if (Next[S] == Streams[S].size())
+        continue;
+      addGenConstraint(Shuffled, Streams[S][Next[S]++]);
+      ++Done;
+    }
+    ASSERT_EQ(InOrder.numEdges(), Shuffled.numEdges());
+
+    uint64_t Reachable = 0;
+    for (EffVar V = 0; V < NumVars; ++V)
+      for (LocId L = 0; L < NumLocs; ++L)
+        for (unsigned KI = 0; KI < 3; ++KI) {
+          EffectKind K = static_cast<EffectKind>(KI);
+          bool Reaches = InOrder.reaches(K, L, V);
+          Reachable += Reaches;
+          EXPECT_EQ(Reaches, Shuffled.reaches(K, L, V))
+              << "seed " << Seed << ", kind " << KI << ", loc " << L
+              << ", var " << V;
+          std::vector<ExplainStep> Ref = InOrder.explainReach(K, L, V);
+          EXPECT_EQ(Ref.empty(), !Reaches);
+          EXPECT_TRUE(sameWitness(Ref, Shuffled.explainReach(K, L, V)))
+              << "seed " << Seed << ", kind " << KI << ", loc " << L
+              << ", var " << V;
+        }
+    EXPECT_GT(Reachable, 0u) << "seed " << Seed;
+    InOrder.solve();
+    Shuffled.solve();
+    for (EffVar V = 0; V < NumVars; ++V)
+      EXPECT_TRUE(InOrder.solution(V) == Shuffled.solution(V))
+          << "seed " << Seed << ", var " << V;
+    EXPECT_EQ(InOrder.stats().PropagatedElems,
+              Shuffled.stats().PropagatedElems);
+  }
+}
+
+// Stability itself: where two of a variable's constraints tie, the one
+// added first wins, as it did when each variable kept its own lists.
+TEST(SolverStorage, TiesFollowGenerationOrder) {
+  // v0 -> a (added first) and v0 -> b both lead to t in two steps: the
+  // shortest witness goes through a.
+  {
+    LocTable Locs;
+    ConstraintSystem CS(Locs);
+    CS.enableOriginTracking();
+    LocId L = Locs.fresh();
+    EffVar V0 = CS.makeVar(), A = CS.makeVar(), B = CS.makeVar(),
+           T = CS.makeVar();
+    CS.setOrigin({1, 1}, "seed");
+    CS.addElement(EffectKind::Read, L, V0);
+    CS.setOrigin({2, 1}, "b -> t");
+    CS.addEdge(B, T);
+    CS.setOrigin({3, 1}, "v0 -> a");
+    CS.addEdge(V0, A);
+    CS.setOrigin({4, 1}, "a -> t");
+    CS.addEdge(A, T);
+    CS.setOrigin({5, 1}, "v0 -> b");
+    CS.addEdge(V0, B);
+    std::vector<ExplainStep> Path = CS.explainReach(EffectKind::Read, L, T);
+    ASSERT_EQ(Path.size(), 3u);
+    EXPECT_EQ(Path[0].Note, std::string("a -> t"));
+    EXPECT_EQ(Path[1].Note, std::string("v0 -> a"));
+    EXPECT_EQ(Path[2].Note, std::string("seed"));
+  }
+  // CHECK-SAT's depth-first stack pops v0's later edge first, so it
+  // reaches c through b after four visits; the reversed order would
+  // explore a's branch first (five).
+  {
+    LocTable Locs;
+    ConstraintSystem CS(Locs);
+    LocId L = Locs.fresh();
+    EffVar V0 = CS.makeVar(), A = CS.makeVar(), B = CS.makeVar(),
+           C = CS.makeVar(), T = CS.makeVar();
+    CS.addElement(EffectKind::Read, L, V0);
+    CS.addEdge(A, T);
+    CS.addEdge(V0, A);
+    CS.addEdge(B, C);
+    CS.addEdge(V0, B);
+    uint64_t Before = CS.stats().CheckSatVisited;
+    EXPECT_TRUE(CS.reaches(EffectKind::Read, L, C));
+    EXPECT_EQ(CS.stats().CheckSatVisited - Before, 4u);
+  }
+  // CHECK-SAT's sources are the seeded variables in variable order,
+  // whatever order the seeds arrived in: x before y, so y's chain is
+  // searched first and t is found on the fifth visit (the third, had the
+  // seeds stayed in arrival order).
+  {
+    LocTable Locs;
+    ConstraintSystem CS(Locs);
+    LocId L = Locs.fresh();
+    EffVar X = CS.makeVar(), Y = CS.makeVar(), P = CS.makeVar(),
+           Q = CS.makeVar(), T = CS.makeVar();
+    CS.addElement(EffectKind::Read, L, Y);
+    CS.addElement(EffectKind::Read, L, X);
+    CS.addEdge(X, T);
+    CS.addEdge(Y, P);
+    CS.addEdge(P, Q);
+    uint64_t Before = CS.stats().CheckSatVisited;
+    EXPECT_TRUE(CS.reaches(EffectKind::Read, L, T));
+    EXPECT_EQ(CS.stats().CheckSatVisited - Before, 5u);
+  }
+}
+
+// CHECK-SAT's seed index and the condensation are cached; seeds,
+// variables, and edges added after a query must be seen by the next one,
+// whether or not the seeds arrived in variable order.
+TEST(SolverStorage, ConstraintsAddedAfterAQueryAreSeen) {
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  LocId L0 = Locs.fresh(), L1 = Locs.fresh();
+  EffVar A = CS.makeVar(), B = CS.makeVar();
+  CS.addEdge(A, B);
+  EXPECT_FALSE(CS.reaches(EffectKind::Read, L0, B));
+  CS.addElement(EffectKind::Read, L0, A);
+  EXPECT_TRUE(CS.reaches(EffectKind::Read, L0, B));
+
+  // New variables with no seeds: the grouping must grow with them.
+  EffVar C = CS.makeVar(), D = CS.makeVar();
+  EXPECT_FALSE(CS.reaches(EffectKind::Read, L0, D));
+  CS.addElement(EffectKind::Write, L1, C);
+  CS.addEdge(C, D);
+  EXPECT_TRUE(CS.reaches(EffectKind::Write, L1, D));
+  EXPECT_FALSE(CS.reaches(EffectKind::Write, L1, B));
+  CS.addEdge(D, B);
+  EXPECT_TRUE(CS.reaches(EffectKind::Write, L1, B));
+  EXPECT_EQ(CS.explainReach(EffectKind::Write, L1, B).size(), 3u);
+
+  // A seed for an earlier variable, so the seeds are no longer in
+  // variable order; the cached grouping must follow it and every later
+  // seed and variable.
+  CS.addElement(EffectKind::Alloc, L0, A);
+  EXPECT_TRUE(CS.reaches(EffectKind::Alloc, L0, B));
+  EffVar E = CS.makeVar();
+  CS.addElement(EffectKind::Read, L1, E);
+  EXPECT_TRUE(CS.reaches(EffectKind::Read, L1, E));
+  EffVar F = CS.makeVar();
+  EXPECT_FALSE(CS.reaches(EffectKind::Read, L1, F));
+  CS.addElement(EffectKind::Write, L0, D);
+  EXPECT_TRUE(CS.reaches(EffectKind::Write, L0, B));
+
+  CS.solve();
+  EXPECT_TRUE(CS.member(EffectKind::Write, L1, B));
+  EXPECT_TRUE(CS.member(EffectKind::Read, L0, B));
+  EXPECT_TRUE(CS.member(EffectKind::Alloc, L0, B));
+  EXPECT_TRUE(CS.member(EffectKind::Write, L0, B));
+  EXPECT_FALSE(CS.member(EffectKind::Read, L0, D));
+  EXPECT_FALSE(CS.member(EffectKind::Read, L1, F));
+}
+
+// constraint-out-degree counts each variable's out-edges plus the
+// intersection sides it feeds (once per union membership).
+TEST(SolverStorage, GraphMetricsMatchAHandCount) {
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  LocId L = Locs.fresh();
+  EffVar V[5];
+  for (EffVar &X : V)
+    X = CS.makeVar();
+  CS.addEdge(V[0], V[1]);
+  CS.addEdge(V[0], V[2]);
+  CS.addEdge(V[1], V[2]);
+  CS.addEdge(V[3], V[3]); // a self-edge is dropped
+  CS.addElement(EffectKind::Read, L, V[0]);
+  // (v0 n (v1 u v3)) <= v2 and ({read(l)} n v0) <= v4.
+  CS.addIntersection(InterOperand::var(V[0]),
+                     InterOperand::varUnion({V[1], V[3]}), V[2]);
+  CS.addIntersection(InterOperand::elem(EffectElem(EffectKind::Read, L)),
+                     InterOperand::var(V[0]), V[4]);
+  MetricsRegistry R;
+  {
+    MetricsScope Scope(R);
+    CS.recordGraphMetrics();
+  }
+  // Out-degrees: v0 = 2 edges + 2 feeds, v1 = 1 + 1, v2 = 0, v3 = 0 + 1,
+  // v4 = 0.
+  const Histogram *H = R.findHistogram("constraint-out-degree");
+  ASSERT_NE(H, nullptr);
+  EXPECT_EQ(H->count(), 5u);
+  EXPECT_EQ(H->sum(), 7u);
+  EXPECT_EQ(H->min(), 0u);
+  EXPECT_EQ(H->max(), 4u);
+  EXPECT_EQ(H->buckets()[0], 2u); // v2, v4
+  EXPECT_EQ(H->buckets()[1], 1u); // v3
+  EXPECT_EQ(H->buckets()[2], 1u); // v1
+  EXPECT_EQ(H->buckets()[3], 1u); // v0
+  EXPECT_EQ(CS.numEdges(), 3u);
+}
+
+//===----------------------------------------------------------------------===//
+// Multi-target CHECK-SAT (the escape condition).
+//===----------------------------------------------------------------------===//
+
+// firstReachedAnyKind answers "the first target, in order, that some
+// kind of rho reaches" with one search per kind, whatever the number of
+// targets, and agrees with one reachesAnyKind query per target.
+TEST(SolverCheckSat, FirstReachedAnyKindMatchesPerTargetQueries) {
+  constexpr uint32_t NumVars = 60, NumLocs = 8;
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
+    LocTable Locs;
+    ConstraintSystem CS(Locs);
+    for (uint32_t L = 0; L < NumLocs; ++L)
+      Locs.fresh();
+    for (uint32_t V = 0; V < NumVars; ++V)
+      CS.makeVar();
+    for (const auto &Stream : randomStreams(Seed, NumVars, NumLocs))
+      for (const GenConstraint &C : Stream)
+        addGenConstraint(CS, C);
+    Rng R(Seed);
+    uint64_t Hits = 0;
+    for (unsigned Q = 0; Q < 200; ++Q) {
+      LocId Rho = static_cast<LocId>(R.below(NumLocs));
+      std::vector<EffVar> Targets;
+      for (uint64_t I = R.below(6); I > 0; --I)
+        Targets.push_back(static_cast<EffVar>(R.below(NumVars)));
+      EffVar Expected = InvalidEffVar;
+      for (EffVar T : Targets)
+        if (CS.reachesAnyKind(Rho, T)) {
+          Expected = T;
+          break;
+        }
+      uint64_t Before = CS.stats().CheckSatQueries;
+      EXPECT_EQ(CS.firstReachedAnyKind(Rho, Targets), Expected)
+          << "seed " << Seed << ", query " << Q;
+      EXPECT_LE(CS.stats().CheckSatQueries - Before, 3u);
+      Hits += Expected != InvalidEffVar;
+    }
+    EXPECT_GT(Hits, 0u) << "seed " << Seed;
+  }
+}
+
+// The kinds are searched separately: an intersection fires only when one
+// element reaches both of its sides, so read(l) on one side and write(l)
+// on the other must not let l through.
+TEST(SolverCheckSat, FirstReachedAnyKindKeepsKindsApart) {
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  LocId L = Locs.fresh();
+  EffVar A = CS.makeVar(), B = CS.makeVar(), Out = CS.makeVar(),
+         Other = CS.makeVar();
+  CS.addElement(EffectKind::Read, L, A);
+  CS.addElement(EffectKind::Write, L, B);
+  CS.addIntersection(InterOperand::var(A), InterOperand::var(B), Out);
+  EXPECT_EQ(CS.firstReachedAnyKind(L, {Out}), InvalidEffVar);
+  EXPECT_EQ(CS.firstReachedAnyKind(L, {Out, B, A}), B);
+  EXPECT_EQ(CS.firstReachedAnyKind(L, {Other}), InvalidEffVar);
+  EXPECT_EQ(CS.firstReachedAnyKind(L, {}), InvalidEffVar);
+  CS.addElement(EffectKind::Read, L, B);
+  EXPECT_EQ(CS.firstReachedAnyKind(L, {Other, Out, A}), Out);
 }
 
 //===----------------------------------------------------------------------===//

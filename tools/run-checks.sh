@@ -45,15 +45,20 @@
 #     traversal on every fixture and the generated corpus, in checking
 #     and inference mode under both alias backends, one condensation
 #     rebuild per firing round with the cycle-merge and Pending-carry
-#     cases, and a MaxSteps sweep showing an abort mid-round leaves no
-#     stale condensation), then a solver-agreement fuzz smoke that makes
-#     the same comparison on the final graphs of random checking and
-#     inference runs, a soundness fuzz smoke (a checking run with no
-#     scope to check stops after typing and builds no graph, so the
-#     checker's accept verdict on random programs with and without
-#     scopes is held against the interpreter), and an
-#     inference-maximality fuzz smoke, since the firing schedule is the
-#     solver's to choose.
+#     cases, a MaxSteps sweep showing an abort mid-round leaves no
+#     stale condensation, the flat constraint arrays' stable per-variable
+#     grouping -- constraints added out of variable order, and after a
+#     query, against an in-order reference -- and the multi-target
+#     escape query against one query per target), then a solver-agreement
+#     fuzz smoke that makes the same comparison on the final graphs of
+#     random checking and inference runs, (rho', escape variable) pairs
+#     included, and holds each checking run's escape verdict (EscapeVia)
+#     to the first escape variable explainReach reaches, a soundness fuzz
+#     smoke (a checking run with no scope to check stops after typing
+#     and builds no graph, so the checker's accept verdict on random
+#     programs with and without scopes is held against the interpreter),
+#     and an inference-maximality fuzz smoke, since the firing schedule
+#     is the solver's to choose.
 #  8. Chaos stage: the `supervisor`-labeled suite under asan-ubsan
 #     (fork/exec, pipe-protocol parsing of untrusted worker bytes,
 #     signal handling), then a full-corpus chaos audit: every module
