@@ -87,6 +87,7 @@ void ConstraintSystem::addIntersection(InterOperand A, InterOperand B,
 
 bool ConstraintSystem::operandContains(const InterOperand &Op,
                                        uint32_t CanonElem) const {
+  ++Stats.IntersectionTests;
   switch (Op.K) {
   case InterOperand::Kind::Elem:
     return canon(Op.Value) == CanonElem;
@@ -197,18 +198,35 @@ void ConstraintSystem::rebuildCondensation() const {
           CAdj.Targets[Fill[NewComp[V]]++] = NewComp[*W];
   }
 
+  // The feeds twice over: every (intersection, side) for CHECK-SAT,
+  // whose visit order follows them, and the driving ones alone for
+  // propagation.
   const ByVar<std::pair<uint32_t, uint8_t>> &FG = feedsByVar();
+  auto Drives = [&](const std::pair<uint32_t, uint8_t> &F) {
+    return F.second == drivingSide(Inters[F.first]);
+  };
   std::vector<uint32_t> InterStart(NumComps + 1, 0);
+  std::vector<uint32_t> DriveStart(NumComps + 1, 0);
   for (uint32_t V = 0; V < NumVars; ++V)
-    InterStart[NewComp[V] + 1] += FG.Start[V + 1] - FG.Start[V];
-  for (uint32_t C = 0; C < NumComps; ++C)
+    for (const auto *F = FG.begin(V); F != FG.end(V); ++F) {
+      ++InterStart[NewComp[V] + 1];
+      DriveStart[NewComp[V] + 1] += Drives(*F);
+    }
+  for (uint32_t C = 0; C < NumComps; ++C) {
     InterStart[C + 1] += InterStart[C];
+    DriveStart[C + 1] += DriveStart[C];
+  }
   std::vector<std::pair<uint32_t, uint8_t>> InterFeeds(InterStart[NumComps]);
+  std::vector<uint32_t> DriveInters(DriveStart[NumComps]);
   {
     std::vector<uint32_t> Fill(InterStart.begin(), InterStart.end() - 1);
+    std::vector<uint32_t> DriveFill(DriveStart.begin(), DriveStart.end() - 1);
     for (uint32_t V = 0; V < NumVars; ++V)
-      for (const auto *F = FG.begin(V); F != FG.end(V); ++F)
+      for (const auto *F = FG.begin(V); F != FG.end(V); ++F) {
         InterFeeds[Fill[NewComp[V]]++] = *F;
+        if (Drives(*F))
+          DriveInters[DriveFill[NewComp[V]]++] = F->first;
+      }
   }
 
   // Carry solver state across the rebuild. Structure only grows, so all
@@ -254,6 +272,8 @@ void ConstraintSystem::rebuildCondensation() const {
   Cond.EdgeTargets = std::move(CAdj.Targets);
   Cond.InterStart = std::move(InterStart);
   Cond.InterFeeds = std::move(InterFeeds);
+  Cond.DriveStart = std::move(DriveStart);
+  Cond.DriveInters = std::move(DriveInters);
   Cond.Sol = std::move(NewSol);
   Cond.Pending = std::move(NewPending);
   Cond.Dirty.assign(NumComps, 0);
@@ -443,18 +463,90 @@ void ConstraintSystem::propagate() {
     // Propagation is the solver's dominant cost; charge the budget per
     // pending element flushed, not per pop.
     budgetStep(Batch.size() + 1);
+    // Feeds that do not drive are passive.
+    const bool FeedsPassive =
+        Cond.InterStart[C + 1] - Cond.InterStart[C] !=
+        Cond.DriveStart[C + 1] - Cond.DriveStart[C];
     for (uint32_t E : Batch) {
       for (uint32_t T = Cond.EdgeStart[C]; T < Cond.EdgeStart[C + 1]; ++T)
         insertElemComp(Cond.EdgeTargets[T], E);
-      for (uint32_t F = Cond.InterStart[C]; F < Cond.InterStart[C + 1]; ++F) {
-        auto [I, Side] = Cond.InterFeeds[F];
-        const InterNode &Node = Inters[I];
-        const InterOperand &Other = Side == 0 ? Node.B : Node.A;
-        if (operandContains(Other, E))
-          insertElemComp(Cond.Comp[Node.Out], E);
-      }
+      for (uint32_t D = Cond.DriveStart[C]; D < Cond.DriveStart[C + 1]; ++D)
+        driveIntersection(Cond.DriveInters[D], E);
+      if (FeedsPassive)
+        wakeWaiting(E);
     }
   }
+}
+
+// Both sides flush only canonical elements (recanonicalize runs before
+// every propagate), and a flushed element is already in its component's
+// set. So whichever side of an intersection flushes an element second
+// finds it on the other side: the driving side by testing the passive
+// operand, the passive side through the waiting index.
+
+void ConstraintSystem::driveIntersection(uint32_t I, uint32_t E) {
+  const InterNode &N = Inters[I];
+  const InterOperand &Passive = passiveOperand(N);
+  if (operandContains(Passive, E))
+    insertElemComp(Cond.Comp[N.Out], E);
+  else if (Passive.K != InterOperand::Kind::Elem)
+    // A constant element operand never arrives anywhere: when its
+    // location is unified, recheckElemIntersections covers it instead.
+    Waiting.add(E, I);
+}
+
+void ConstraintSystem::wakeWaiting(uint32_t E) {
+  uint32_t *Link = Waiting.head(E);
+  if (!Link)
+    return;
+  while (*Link != WaitIndex::None) {
+    WaitIndex::Link &L = Waiting.Links[*Link];
+    const InterNode &N = Inters[L.Inter];
+    const uint32_t Out = Cond.Comp[N.Out];
+    // An output outside the backwards-search scope discards the element;
+    // keep the link rather than drop it unfired.
+    if (operandContains(passiveOperand(N), E) && Cond.InScope[Out]) {
+      insertElemComp(Out, E);
+      *Link = L.Next;
+    } else {
+      Link = &L.Next;
+    }
+  }
+}
+
+uint32_t ConstraintSystem::WaitIndex::probe(uint32_t Elem) const {
+  // Multiplicative hashing, high half folded into the low; Slots.size()
+  // is a power of two.
+  const uint32_t Mask = static_cast<uint32_t>(Slots.size()) - 1;
+  const uint32_t H = Elem * 2654435761u;
+  uint32_t I = (H ^ H >> 16) & Mask;
+  while (Slots[I].Elem != Elem && Slots[I].Elem != SmallElemSet::EmptySlot)
+    I = (I + 1) & Mask;
+  return I;
+}
+
+uint32_t *ConstraintSystem::WaitIndex::head(uint32_t Elem) {
+  if (Slots.empty())
+    return nullptr;
+  Slot &S = Slots[probe(Elem)];
+  return S.Elem == Elem ? &S.Head : nullptr;
+}
+
+void ConstraintSystem::WaitIndex::add(uint32_t Elem, uint32_t Inter) {
+  if (2 * (NumKeys + 1) > Slots.size()) {
+    std::vector<Slot> Old = std::move(Slots);
+    Slots.assign(std::max<size_t>(16, 2 * Old.size()), Slot{});
+    for (const Slot &S : Old)
+      if (S.Elem != SmallElemSet::EmptySlot)
+        Slots[probe(S.Elem)] = S;
+  }
+  Slot &S = Slots[probe(Elem)];
+  if (S.Elem != Elem) {
+    S.Elem = Elem;
+    ++NumKeys;
+  }
+  Links.push_back({Inter, S.Head});
+  S.Head = static_cast<uint32_t>(Links.size() - 1);
 }
 
 void ConstraintSystem::recanonicalize() {

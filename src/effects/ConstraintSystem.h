@@ -58,6 +58,17 @@
 /// reference the solver tests and benchmarks compare reaches() and
 /// member() against.
 ///
+/// Propagation gives each intersection a *driving* side (side A, or side
+/// B when A is a constant element) and a *passive* side. An element
+/// flushed on the driving side tests the passive operand; on a miss it
+/// waits in an index keyed by the canonical element. An element flushed
+/// on a passive side never scans its component's feeds: it looks itself
+/// up in that index and tests only the intersections waiting for it.
+/// Whichever side flushes second sees the element in the other side's
+/// set, so every firing is found. In generated programs the driving side
+/// is a function body and the passive side the shared locs(Gamma) union,
+/// which feeds every function's (Down) intersection.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LNA_EFFECTS_CONSTRAINTSYSTEM_H
@@ -109,7 +120,11 @@ private:
 /// memoization of locs(Gamma) (Section 4): environment/type location sets
 /// are shared and consulted in place instead of being copied into a
 /// materialized union variable, which would cost |locs(Gamma)| space and
-/// time per scope.
+/// time per scope. A shared member feeds every intersection whose union
+/// it is in. Generation puts the union on side B, which propagation
+/// treats as the *passive* side: an element reaching the shared set is
+/// tested only against the intersections whose driving side already
+/// holds it, never against every function body the set feeds.
 struct InterOperand {
   enum class Kind : uint8_t { Elem, Var, VarUnion };
   Kind K;
@@ -175,6 +190,9 @@ struct SolverStats {
   uint64_t CondFirings = 0;
   uint64_t CheckSatQueries = 0;
   uint64_t CheckSatVisited = 0;
+  /// Membership tests of an intersection operand. A complexity pin for
+  /// the tests; not rendered in --stats or --metrics-out.
+  uint64_t IntersectionTests = 0;
 };
 
 /// The normal-form effect constraint graph and its solvers.
@@ -356,6 +374,10 @@ private:
     std::vector<uint32_t> EdgeStart, EdgeTargets;
     std::vector<uint32_t> InterStart;
     std::vector<std::pair<uint32_t, uint8_t>> InterFeeds;
+    /// Propagation's view of the feeds: CSR component -> intersections it
+    /// drives, in feed order. A component with more feeds than driving
+    /// feeds also feeds a passive side.
+    std::vector<uint32_t> DriveStart, DriveInters;
     /// Solver state, per component.
     std::vector<SmallElemSet> Sol;
     std::vector<std::vector<uint32_t>> Pending;
@@ -378,6 +400,33 @@ private:
     uint32_t Epoch = 0;
   };
 
+  /// Intersections whose driving side holds an element their passive
+  /// side lacked when it arrived, keyed by the canonical element: an
+  /// open-addressed table (linear probing) of per-element chain heads,
+  /// and one append-only array of chain links. A link is unlinked once
+  /// its intersection fires; keys of locations unified away are never
+  /// looked up again and stay as dead weight.
+  struct WaitIndex {
+    static constexpr uint32_t None = ~0u;
+    struct Slot {
+      uint32_t Elem = SmallElemSet::EmptySlot;
+      uint32_t Head = None;
+    };
+    struct Link {
+      uint32_t Inter;
+      uint32_t Next;
+    };
+    std::vector<Slot> Slots; ///< power-of-two size, at most half full
+    std::vector<Link> Links;
+    uint32_t NumKeys = 0;
+
+    void add(uint32_t Elem, uint32_t Inter);
+    /// The chain head of \p Elem, or nullptr if nothing ever waited on it.
+    uint32_t *head(uint32_t Elem);
+    /// The slot index \p Elem occupies or would occupy.
+    uint32_t probe(uint32_t Elem) const;
+  };
+
   uint32_t canon(uint32_t ElemBits) const {
     EffectElem E(ElemBits);
     return EffectElem(E.kind(), Locs.find(E.loc())).bits();
@@ -385,6 +434,14 @@ private:
 
   /// True if the operand's (union of) solution(s) contains \p CanonElem.
   bool operandContains(const InterOperand &Op, uint32_t CanonElem) const;
+  /// The side (0 = A, 1 = B) whose arrivals test the other operand: A,
+  /// unless A is a constant element, which never arrives anywhere.
+  static uint8_t drivingSide(const InterNode &N) {
+    return N.A.K == InterOperand::Kind::Elem ? 1 : 0;
+  }
+  static const InterOperand &passiveOperand(const InterNode &N) {
+    return drivingSide(N) == 0 ? N.B : N.A;
+  }
 
   void ensureCondensed() const;
   void rebuildCondensation() const;
@@ -398,6 +455,11 @@ private:
   void insertElem(EffVar V, uint32_t ElemBits);
   void insertElemComp(uint32_t C, uint32_t ElemBits);
   void propagate();
+  /// \p CanonElem was flushed on intersection \p I's driving side.
+  void driveIntersection(uint32_t I, uint32_t CanonElem);
+  /// \p CanonElem was flushed on a passive side: fires the waiting
+  /// intersections whose passive operand now holds it.
+  void wakeWaiting(uint32_t CanonElem);
   void recanonicalize();
   void recheckElemIntersections();
   bool evalPremise(const CondConstraint &C) const;
@@ -420,6 +482,10 @@ private:
   /// changes when its location is unified, so they are re-checked after
   /// every round that merged location classes.
   std::vector<uint32_t> ElemInters;
+  /// Kept across condensation rebuilds and solve() calls: its keys are
+  /// elements and its links intersections, neither of which a rebuild
+  /// renumbers.
+  WaitIndex Waiting;
   mutable std::vector<uint32_t> Worklist; ///< dirty components
   mutable SolverStats Stats;
   mutable Condensation Cond;

@@ -27,6 +27,14 @@
 //    keeps the effect kinds apart at intersections.
 //  * Location unification mid-solve reaches intersections whose operand
 //    is a constant element.
+//  * Each intersection has a driving and a passive side: an element
+//    reaching the passive side is tested only against the intersections
+//    whose driving side already holds it. Either side may arrive first,
+//    in the same round or a later one, across a location unify, with a
+//    union on the driving side or an element operand flipping it; a
+//    shared set feeding many disjoint bodies costs far fewer operand
+//    tests than |set| x |bodies|; and large many-function modules agree
+//    with the reference with their solver counters unchanged.
 //  * Edges fired by conditionals are folded into the condensation once
 //    per firing round, not once per edge: a round of confine?-style
 //    failures costs one rebuild, a fired edge that closes a cycle merges
@@ -943,6 +951,207 @@ TEST(SolverCheckSat, FirstReachedAnyKindKeepsKindsApart) {
 }
 
 //===----------------------------------------------------------------------===//
+// Driving and passive intersection sides.
+//===----------------------------------------------------------------------===//
+
+// Propagation pops the last-queued component first, and the seeding loop
+// queues components in variable order, so the order variables are made
+// in decides which side of an intersection flushes an element first.
+
+CondConstraint firesOn(LocId Rho, EffVar Var, std::vector<CondAction> Acts) {
+  CondConstraint C;
+  C.P = CondConstraint::Premise::LocInVar;
+  C.Rho = Rho;
+  C.Var = Var;
+  C.Actions = std::move(Acts);
+  return C;
+}
+
+// The generated (Down) shape, (Body n (Env u Param)) <= Latent: Body
+// drives and the union is passive. read(l) is seeded into Body and
+// reaches Env through Src -> Env. Made first, Body flushes last and
+// finds read(l) in Env; made after Src, it flushes first, misses, and
+// waits until Env's flush looks it up.
+TEST(SolverIntersection, EitherSideMayArriveFirst) {
+  for (bool DrivingFirst : {false, true}) {
+    LocTable Locs;
+    ConstraintSystem CS(Locs);
+    LocId L = Locs.fresh(), BodyOnly = Locs.fresh(), EnvOnly = Locs.fresh();
+    EffVar Body = 0, Src = 0;
+    if (DrivingFirst) {
+      Src = CS.makeVar();
+      Body = CS.makeVar();
+    } else {
+      Body = CS.makeVar();
+      Src = CS.makeVar();
+    }
+    EffVar Env = CS.makeVar(), Param = CS.makeVar(), Latent = CS.makeVar();
+    CS.addElement(EffectKind::Read, L, Body);
+    CS.addElement(EffectKind::Write, BodyOnly, Body);
+    CS.addElement(EffectKind::Read, L, Src);
+    CS.addElement(EffectKind::Alloc, EnvOnly, Src);
+    CS.addEdge(Src, Env);
+    CS.addIntersection(InterOperand::var(Body),
+                       InterOperand::varUnion({Env, Param}), Latent);
+    CS.solve();
+    const std::string Where =
+        DrivingFirst ? "driving side first" : "passive side first";
+    EXPECT_TRUE(CS.member(EffectKind::Read, L, Latent)) << Where;
+    EXPECT_FALSE(CS.member(EffectKind::Write, BodyOnly, Latent)) << Where;
+    EXPECT_FALSE(CS.member(EffectKind::Alloc, EnvOnly, Latent)) << Where;
+    // Body's two elements test the union once each; only when Body
+    // flushed first does Env's flush test the waiting read(l) again.
+    EXPECT_EQ(CS.stats().IntersectionTests, DrivingFirst ? 3u : 2u) << Where;
+    EXPECT_GT(expectThreeWayAgreement(CS, 1, 1, Where), 0u);
+  }
+}
+
+// The passive side gets the element a round later, through an edge a
+// conditional fires: the driving side's miss from round 1 is still
+// waiting when the fired edge's flush looks it up.
+TEST(SolverIntersection, FiredEdgeFillsThePassiveSideInALaterRound) {
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  LocId L = Locs.fresh(), T = Locs.fresh();
+  EffVar Body = CS.makeVar(), Src = CS.makeVar(), Trig = CS.makeVar(),
+         Env = CS.makeVar(), Param = CS.makeVar(), Latent = CS.makeVar();
+  CS.addElement(EffectKind::Read, L, Body);
+  CS.addElement(EffectKind::Read, L, Src);
+  CS.addElement(EffectKind::Read, T, Trig);
+  CS.addIntersection(InterOperand::var(Body),
+                     InterOperand::varUnion({Env, Param}), Latent);
+  CS.addConditional(firesOn(T, Trig, {{CondAction::Kind::AddEdge, Src, Param}}));
+  CS.solve();
+  EXPECT_EQ(CS.stats().CondFirings, 1u);
+  EXPECT_EQ(CS.stats().Rounds, 2u);
+  EXPECT_TRUE(CS.member(EffectKind::Read, L, Param));
+  EXPECT_TRUE(CS.member(EffectKind::Read, L, Latent));
+  EXPECT_GT(expectThreeWayAgreement(CS, 1, 1, "fired edge"), 0u);
+}
+
+// read(l1) waits on Body's side; the union holds read(l0). A conditional
+// unifies l0 and l1. If l1 survives, the union's set changes and its
+// re-pushed read(l1) finds the waiting entry; if l0 survives, Body's set
+// changes and its re-pushed read(l0) tests the union directly, leaving
+// the read(l1) key dead. Both directions must fire.
+TEST(SolverIntersection, WaitingElementSurvivesALocationUnify) {
+  std::vector<bool> Survivors;
+  for (bool IntoL0 : {true, false}) {
+    LocTable Locs;
+    ConstraintSystem CS(Locs);
+    LocId L0 = Locs.fresh(), L1 = Locs.fresh(), T = Locs.fresh();
+    EffVar Body = CS.makeVar(), Trig = CS.makeVar(), Env = CS.makeVar(),
+           Param = CS.makeVar(), Latent = CS.makeVar();
+    CS.addElement(EffectKind::Read, L1, Body);
+    CS.addElement(EffectKind::Read, L0, Param);
+    CS.addElement(EffectKind::Read, T, Trig);
+    CS.addIntersection(InterOperand::var(Body),
+                       InterOperand::varUnion({Env, Param}), Latent);
+    CS.addConditional(firesOn(T, Trig,
+                              {{CondAction::Kind::UnifyLocs,
+                                IntoL0 ? L1 : L0, IntoL0 ? L0 : L1}}));
+    CS.solve();
+    ASSERT_TRUE(Locs.sameClass(L0, L1));
+    Survivors.push_back(Locs.find(L0) == L0);
+    const std::string Where = IntoL0 ? "unify into l0" : "unify into l1";
+    EXPECT_TRUE(CS.member(EffectKind::Read, L0, Latent)) << Where;
+    EXPECT_GT(expectThreeWayAgreement(CS, 1, 1, Where), 0u);
+  }
+  // Each location survived once: both re-push paths ran.
+  EXPECT_NE(Survivors[0], Survivors[1]);
+}
+
+// A union on the driving side: read(l) reaches both members before the
+// passive variable, so it waits twice for the same intersection; one
+// flush of the passive side fires it once and clears both entries.
+TEST(SolverIntersection, UnionDrivingSide) {
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  LocId L = Locs.fresh(), M = Locs.fresh(), PassiveOnly = Locs.fresh();
+  EffVar Src = CS.makeVar(), D1 = CS.makeVar(), D2 = CS.makeVar(),
+         P = CS.makeVar(), Out = CS.makeVar();
+  CS.addElement(EffectKind::Read, L, D1);
+  CS.addElement(EffectKind::Read, L, D2);
+  CS.addElement(EffectKind::Write, M, D2);
+  CS.addElement(EffectKind::Read, L, Src);
+  CS.addElement(EffectKind::Write, M, Src);
+  CS.addElement(EffectKind::Alloc, PassiveOnly, Src);
+  CS.addEdge(Src, P);
+  CS.addIntersection(InterOperand::varUnion({D1, D2}), InterOperand::var(P),
+                     Out);
+  CS.solve();
+  EXPECT_TRUE(CS.member(EffectKind::Read, L, Out));
+  EXPECT_TRUE(CS.member(EffectKind::Write, M, Out));
+  EXPECT_FALSE(CS.member(EffectKind::Alloc, PassiveOnly, Out));
+  EXPECT_EQ(CS.solution(Out).size(), 2u);
+  EXPECT_GT(expectThreeWayAgreement(CS, 1, 1, "union driving side"), 0u);
+}
+
+// ({read(l)} n V) <= Out1: a constant element never arrives, so V's side
+// drives. V also sits on the passive side of (D n V) <= Out2, whose
+// driving side already holds read(l) when V's flush comes. V gets
+// read(l) through an edge, so the element-operand check at seeding time
+// cannot fire Out1 for it.
+TEST(SolverIntersection, ElementOnSideAFlipsTheDrivingSide) {
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  LocId L = Locs.fresh(), Other = Locs.fresh();
+  EffVar Src = CS.makeVar(), D = CS.makeVar(), V = CS.makeVar(),
+         Out1 = CS.makeVar(), Out2 = CS.makeVar();
+  CS.addElement(EffectKind::Read, L, Src);
+  CS.addElement(EffectKind::Write, Other, Src);
+  CS.addElement(EffectKind::Read, L, D);
+  CS.addEdge(Src, V);
+  CS.addIntersection(InterOperand::elem(EffectElem(EffectKind::Read, L)),
+                     InterOperand::var(V), Out1);
+  CS.addIntersection(InterOperand::var(D), InterOperand::var(V), Out2);
+  CS.solve();
+  for (EffVar Out : {Out1, Out2}) {
+    EXPECT_TRUE(CS.member(EffectKind::Read, L, Out)) << Out;
+    EXPECT_FALSE(CS.member(EffectKind::Write, Other, Out)) << Out;
+  }
+  EXPECT_GT(expectThreeWayAgreement(CS, 1, 1, "element on side A"), 0u);
+}
+
+// One shared variable S with G elements is the passive side of F
+// intersections whose bodies are disjoint: body j holds its own element
+// and the j-th of S's. S gets its elements through an edge, after every
+// body flushed. Testing each of S's elements against every body costs
+// F * G operand tests; the waiting index costs one per body element and
+// one per waiting shared element.
+TEST(SolverIntersection, SharedSetIsNotTestedAgainstEveryBody) {
+  constexpr uint32_t F = 200, G = 200;
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  std::vector<LocId> Shared, Own;
+  for (uint32_t I = 0; I < G; ++I)
+    Shared.push_back(Locs.fresh());
+  for (uint32_t J = 0; J < F; ++J)
+    Own.push_back(Locs.fresh());
+  EffVar Src = CS.makeVar(), S = CS.makeVar();
+  for (LocId L : Shared)
+    CS.addElement(EffectKind::Read, L, Src);
+  CS.addEdge(Src, S);
+  std::vector<EffVar> Outs;
+  for (uint32_t J = 0; J < F; ++J) {
+    EffVar Body = CS.makeVar(), Out = CS.makeVar();
+    CS.addElement(EffectKind::Read, Own[J], Body);
+    CS.addElement(EffectKind::Read, Shared[J % G], Body);
+    CS.addIntersection(InterOperand::var(Body), InterOperand::varUnion({S}),
+                       Out);
+    Outs.push_back(Out);
+  }
+  CS.solve();
+  EXPECT_GT(CS.stats().IntersectionTests, 0u);
+  EXPECT_LT(CS.stats().IntersectionTests, uint64_t{F} * G / 10);
+  for (uint32_t J = 0; J < F; ++J) {
+    EXPECT_TRUE(CS.member(EffectKind::Read, Shared[J % G], Outs[J])) << J;
+    EXPECT_EQ(CS.solution(Outs[J]).size(), 1u) << J;
+  }
+  EXPECT_GT(expectThreeWayAgreement(CS, 97, 5, "shared set"), 0u);
+}
+
+//===----------------------------------------------------------------------===//
 // Agreement with the reference on analysis graphs.
 //===----------------------------------------------------------------------===//
 
@@ -1009,6 +1218,88 @@ TEST(SolverCorpus, GeneratedCorpusAgreesWithReference) {
   for (const ModuleSpec &M : Corpus)
     Reachable += expectSessionsAgree(M.Source, 53, 11, M.Name);
   EXPECT_GT(Reachable, 0u);
+}
+
+// Agreement on a graph too large to sweep: every VarStride-th variable,
+// each element of its least solution and as many (loc, kind) pairs picked
+// at a fixed stride, member() against reaches(), and every
+// ExplainStride-th query against explainReach too. Returns how many
+// checked queries were reachable.
+uint64_t expectStridedAgreement(ConstraintSystem &CS, uint32_t VarStride,
+                                uint64_t ExplainStride,
+                                const std::string &Where) {
+  const LocTable &Locs = CS.locs();
+  uint64_t Checked = 0, Reachable = 0, Disagreements = 0;
+  auto Check = [&](EffVar V, EffectKind K, LocId L) {
+    bool Member = CS.member(K, L, V);
+    bool Reaches = CS.reaches(K, L, V);
+    bool Reference = Checked++ % ExplainStride == 0
+                         ? !CS.explainReach(K, L, V).empty()
+                         : Reaches;
+    Reachable += Reaches;
+    if (Member == Reaches && Reaches == Reference)
+      return;
+    if (++Disagreements <= 5)
+      ADD_FAILURE() << Where << ": kind " << static_cast<int>(K) << ", loc "
+                    << L << ", var " << V << ": member " << Member
+                    << ", reaches " << Reaches << ", explainReach "
+                    << Reference;
+  };
+  for (EffVar V = 0; V < CS.numVars(); V += VarStride) {
+    std::vector<uint32_t> Sol;
+    for (uint32_t E : CS.solution(V))
+      Sol.push_back(E);
+    std::sort(Sol.begin(), Sol.end());
+    for (uint32_t E : Sol)
+      Check(V, EffectElem(E).kind(), EffectElem(E).loc());
+    for (uint32_t J = 0; J < std::max<size_t>(Sol.size(), 1); ++J)
+      Check(V, static_cast<EffectKind>(J % 3),
+            Locs.find((V * 7919u + J * 104729u) % Locs.size()));
+  }
+  EXPECT_EQ(Disagreements, 0u) << Where;
+  return Reachable;
+}
+
+// Hard and Recoverable modules with hundreds of functions, where every
+// (Down) intersection shares the environment union: inference under both
+// backends agrees with the reference, and the solver's counters are
+// those the per-feed scan produced (a different firing schedule or a
+// missed firing would move them).
+TEST(SolverCorpus, ManyFunctionModulesAgreeWithReference) {
+  struct Pin {
+    ModuleCategory Cat;
+    uint32_t SizeHint;
+    AliasBackendKind Backend;
+    uint64_t PropagatedElems, Rounds, CondFirings;
+  };
+  const Pin Pins[] = {
+      {ModuleCategory::Hard, 220, AliasBackendKind::Steensgaard, 13317, 4,
+       446},
+      {ModuleCategory::Hard, 220, AliasBackendKind::Andersen, 14091, 4, 532},
+      {ModuleCategory::Recoverable, 400, AliasBackendKind::Steensgaard, 9817,
+       3, 259},
+      {ModuleCategory::Recoverable, 400, AliasBackendKind::Andersen, 9817, 3,
+       259},
+  };
+  for (const Pin &P : Pins) {
+    const ModuleSpec M = generateModule(P.Cat, 3, P.SizeHint);
+    const std::string Where = std::string(moduleCategoryName(P.Cat)) + "-" +
+                              std::to_string(P.SizeHint) + " [" +
+                              aliasBackendName(P.Backend) + "]";
+    PipelineOptions Opts;
+    Opts.Mode = PipelineMode::Infer;
+    Opts.AliasBackend = P.Backend;
+    AnalysisSession S(Opts);
+    ASSERT_TRUE(S.run(M.Source)) << Where;
+    ConstraintSystem &CS = S.result().State->CS;
+    const SolverStats &SS = CS.stats();
+    EXPECT_EQ(SS.PropagatedElems, P.PropagatedElems) << Where;
+    EXPECT_EQ(SS.Rounds, P.Rounds) << Where;
+    EXPECT_EQ(SS.CondFirings, P.CondFirings) << Where;
+    EXPECT_GT(expectStridedAgreement(CS, CS.numVars() / 600 + 1, 4, Where),
+              0u)
+        << Where;
+  }
 }
 
 std::vector<std::string> identityFiles() {

@@ -48,8 +48,10 @@
 #     cases, a MaxSteps sweep showing an abort mid-round leaves no
 #     stale condensation, the flat constraint arrays' stable per-variable
 #     grouping -- constraints added out of variable order, and after a
-#     query, against an in-order reference -- and the multi-target
-#     escape query against one query per target), then a solver-agreement
+#     query, against an in-order reference -- the multi-target escape
+#     query against one query per target, and the driving/passive
+#     intersection sides in every arrival order, with the waiting
+#     index's operand-test pin), then a solver-agreement
 #     fuzz smoke that makes the same comparison on the final graphs of
 #     random checking and inference runs, (rho', escape variable) pairs
 #     included, and holds each checking run's escape verdict (EscapeVia)
